@@ -34,7 +34,6 @@ from repro.core.client import AresClient
 from repro.core.directory import ConfigurationDirectory
 from repro.core.reconfig import AresReconfigurer
 from repro.core.server import AresServer
-from repro.net.failures import FailureInjector
 from repro.net.latency import LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.sim.core import Simulator
@@ -118,7 +117,6 @@ class AresDeployment:
         self.directory = ConfigurationDirectory()
         self.history = History()
         self.dap_recorder = DapRecorder(self.sim) if spec.record_dap else None
-        self.failure_injector = FailureInjector(self.network)
         self._config_counter = 0
 
         dap_factory = transfer_dap_state_factory if spec.direct_state_transfer else None

@@ -12,7 +12,6 @@ from repro.net.message import Message, request, reply
 from repro.net.latency import LatencyModel, FixedLatency, UniformLatency, AsymmetricLatency
 from repro.net.network import Network
 from repro.net.stats import TrafficStats, TrafficRecord
-from repro.net.failures import FailureInjector, PartitionController
 
 __all__ = [
     "Message",
@@ -25,6 +24,4 @@ __all__ = [
     "Network",
     "TrafficStats",
     "TrafficRecord",
-    "FailureInjector",
-    "PartitionController",
 ]

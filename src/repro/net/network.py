@@ -2,8 +2,9 @@
 
 :class:`Network` owns the registry of processes, delivers messages with a
 delay drawn from its :class:`~repro.net.latency.LatencyModel`, feeds the
-traffic accountant, and applies failure rules (crashes, partitions, message
-loss) injected through :mod:`repro.net.failures`.
+traffic accountant, and applies failure rules: crashes (:meth:`Network.crash`,
+:meth:`Network.crash_at`) and the drop filters and delay adjusters the chaos
+subsystem (:mod:`repro.chaos`) installs for partitions, loss and slowdowns.
 
 Channels are reliable and FIFO-less by default, exactly matching the paper's
 model: messages may be arbitrarily reordered (each draws an independent

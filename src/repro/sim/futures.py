@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.common.errors import OperationAborted, QuorumRefusedError, SimulationError
+from repro.common.errors import (RETIRED_CONFIG_REASON, OperationAborted,
+                                 QuorumRefusedError, SimulationError)
 from repro.sim.core import Simulator
 
 
@@ -123,7 +124,8 @@ class QuorumFuture(SimFuture):
     number of processes contacted) is given and the refusals leave fewer
     than ``threshold`` possible acceptances, the future fails fast with
     :class:`~repro.common.errors.QuorumRefusedError` -- a retriable
-    condition -- rather than hanging until a timeout.
+    condition -- rather than hanging until a timeout.  A retired-config
+    refusal fails it at once (retirement is permanent).
     """
 
     __slots__ = ("threshold", "responses", "distinct_by", "duplicates_ignored",
@@ -170,7 +172,8 @@ class QuorumFuture(SimFuture):
         acceptances (one process occupies one slot, whichever way it
         answers).  With ``expected`` known, the future fails with
         :class:`~repro.common.errors.QuorumRefusedError` as soon as the
-        remaining non-refusing processes cannot reach the threshold.
+        remaining non-refusing processes cannot reach the threshold, and
+        with a pure retirement refusal on the first retired-config NACK.
         """
         if self.distinct_by is not None:
             key = self.distinct_by(response)
@@ -179,7 +182,13 @@ class QuorumFuture(SimFuture):
                 return
             self._seen_keys.add(key)
         self.nacks.append(response)
-        if (not self.done() and self.expected is not None
+        if self.done():
+            return
+        if _nack_reason(response) == RETIRED_CONFIG_REASON:
+            self.set_exception(QuorumRefusedError(
+                f"{self.label or 'quorum'}: a contacted process retired the "
+                "configuration", reasons=(RETIRED_CONFIG_REASON,)))
+        elif (self.expected is not None
                 and self.expected - len(self.nacks) < self.threshold):
             self.set_exception(QuorumRefusedError(
                 f"{self.label or 'quorum'}: {len(self.nacks)} of {self.expected} "
@@ -187,21 +196,26 @@ class QuorumFuture(SimFuture):
                 reasons=self._nack_reasons()))
 
     def _nack_reasons(self) -> tuple:
-        """Distinct refusal reasons collected so far, in first-seen order.
-
-        NACKs arrive as ``(sender, message)`` pairs from the process layer
-        (duck-typed: anything with ``.get("error")`` works), so the error
-        can carry *why* the quorum refused -- resource pressure vs retired
-        configuration -- without changing its message text.
-        """
+        """Distinct refusal reasons collected so far, in first-seen order."""
         reasons: List[str] = []
         for nack in self.nacks:
-            message = nack[1] if isinstance(nack, tuple) and len(nack) == 2 else nack
-            getter = getattr(message, "get", None)
-            reason = getter("error") if getter is not None else None
+            reason = _nack_reason(nack)
             if reason and reason not in reasons:
                 reasons.append(reason)
         return tuple(reasons)
+
+
+def _nack_reason(nack: Any) -> Optional[str]:
+    """The refusal reason a NACK carries, if any.
+
+    NACKs arrive as ``(sender, message)`` pairs from the process layer
+    (duck-typed: anything with ``.get("error")`` works), so the error can
+    carry *why* the quorum refused -- resource pressure vs retired
+    configuration -- without changing its message text.
+    """
+    message = nack[1] if isinstance(nack, tuple) and len(nack) == 2 else nack
+    getter = getattr(message, "get", None)
+    return getter("error") if getter is not None else None
 
 
 class Timer(SimFuture):

@@ -7,9 +7,10 @@ executions:
 
 * :mod:`repro.spec.history` -- records the invocation/response intervals and
   results of high-level read/write operations.
-* :mod:`repro.spec.linearizability` -- a Wing-Gong style checker specialised
-  for multi-writer multi-reader registers, plus the per-key variant used for
-  the sharded store's multi-object histories.
+* :mod:`repro.spec.streaming` -- the online register and tag checkers, fed
+  as a streaming history is recorded or by replaying a finished one.
+* :mod:`repro.spec.linearizability` -- batch verdicts (whole-history and per
+  key) from that replay, with a Wing-Gong search as the fallback.
 * :mod:`repro.spec.properties` -- records DAP invocations and checks the
   consistency properties C1, C2 and C3 of Definition 2.
 """

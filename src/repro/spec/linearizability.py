@@ -1,48 +1,21 @@
 """Linearizability (atomicity) checking for MWMR read/write registers.
 
-The checker decides whether a recorded :class:`~repro.spec.history.History`
-of a single register is linearizable with respect to the sequential
-read/write register specification, i.e. whether the atomicity conditions
-A1-A3 of Section 2 admit a total order.
+The checks decide whether a recorded :class:`~repro.spec.history.History`
+of a register is linearizable with respect to the sequential read/write
+register specification -- whether the atomicity conditions A1-A3 of
+Section 2 admit a total order -- and whether its protocol tags satisfy
+Lemma 20.
 
-Two cooperating algorithms
---------------------------
-:func:`check_linearizability` first runs a **register-specialised fast
-checker** (:func:`_fast_check`) and only falls back to the exhaustive
-Wing-Gong search (:func:`check_linearizability_reference`) when the fast
-checker cannot decide.
-
-*Fast path* -- a Gibbons/Korach-style value partition, in the spirit of
-Lowe's just-in-time linearization.  When every write carries a distinct
-value label (the workload generators guarantee this), operations partition
-into per-value **clusters** -- one write plus all reads returning its value.
-In any linearization each value occupies one contiguous segment, so a
-cluster is ordered entirely before another whenever any of its operations
-really precedes one of the other's; that cluster-level precedence reduces to
-comparing two scalars (the cluster's earliest response against the other's
-latest invocation).  The fast checker
-
-1. rejects outright on *necessary-condition* violations: a read returning a
-   value no write produced, a read completing before its write was invoked,
-   a read of the initial value invoked after another value's cluster had to
-   be over, or two clusters that each must precede the other (a real-time
-   cycle -- the classic stale read / new-old inversion);
-2. otherwise *constructs* candidate linearizations (clusters ordered by
-   earliest response, then by protocol tag when available) and verifies one
-   in a single linear sweep.
-
-A verified witness proves linearizability; a failed necessary condition
-disproves it; anything else (duplicate value labels, no candidate order
-surviving the sweep) is **ambiguous** and is handed to the reference search,
-so the combination is exactly as precise as Wing-Gong while the common case
--- by far the dominant cost of chaos-scenario verification -- runs in
-near-linear time.
-
-*Reference path* -- the Wing-Gong / Lowe-style depth-first search over
-operation orderings with memoisation on the *configuration* (set of
-linearized operation ids plus the current register value), with the
-minimal-by-precedence candidate rule and lazy treatment of incomplete
-writes.
+Batch checks have no checker of their own: they replay the recorded
+history through the online register and tag checkers of
+:mod:`repro.spec.streaming` (:func:`~repro.spec.streaming.replay`), the
+code that also verifies streaming histories as they are recorded.  The
+online register checker either *proves* a verdict in near-linear time
+(method label ``"fast"``) or reports the history ambiguous; ambiguous
+histories fall back to the exhaustive Wing-Gong / Lowe-style search
+(:func:`check_linearizability_reference`, method ``"reference"``), so the
+combination is exactly as precise as Wing-Gong.  Only the reference search
+fills :attr:`LinearizabilityResult.order` with a witness order.
 
 Histories are expected to use unique value labels per write (the workload
 generators guarantee this); reads returning the initial value are matched
@@ -51,16 +24,11 @@ against the ``"v0"`` label of :data:`repro.common.values.BOTTOM_VALUE`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.spec.history import History, OperationRecord, OperationType
-
-#: Label of the register's initial value.
-INITIAL_LABEL = "v0"
-
-_INFINITY = float("inf")
+from repro.spec.streaming import INITIAL_LABEL, first_tag_failure, replay
 
 
 @dataclass
@@ -68,14 +36,16 @@ class LinearizabilityResult:
     """The outcome of a linearizability check."""
 
     ok: bool
-    #: A witness linearization (operation ids in order) when ``ok``.
+    #: A witness linearization (operation ids in order) when ``ok`` and the
+    #: reference search decided; empty for ``"fast"`` verdicts.
     order: List[int] = field(default_factory=list)
     #: Human-readable explanation when not ``ok``.
     reason: str = ""
     #: Number of search states explored (for diagnostics / performance tests).
-    #: The fast checker decides without searching, reporting ``0``.
+    #: The online checker decides without searching, reporting ``0``.
     states_explored: int = 0
-    #: Which algorithm produced the verdict: ``"fast"`` or ``"reference"``.
+    #: Which algorithm produced the verdict: ``"fast"`` (the online checker)
+    #: or ``"reference"``.
     method: str = ""
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
@@ -86,11 +56,11 @@ def check_linearizability(history: History, initial_label: str = INITIAL_LABEL,
                           max_states: int = 2_000_000) -> LinearizabilityResult:
     """Check that ``history`` is linearizable as a read/write register.
 
-    Runs the near-linear fast checker first and falls back to the
-    Wing-Gong reference search only on histories the fast checker finds
-    ambiguous (e.g. duplicate value labels, or no greedy witness passing
-    verification).  Both paths agree on every decidable history; the fast
-    path only ever returns *proven* verdicts.
+    Replays the history through the online checker and falls back to the
+    Wing-Gong reference search only when the online checker finds it
+    ambiguous (e.g. duplicate value labels, or no candidate witness order
+    surviving its sweep).  The online checker only ever returns *proven*
+    verdicts.
 
     Parameters
     ----------
@@ -104,168 +74,40 @@ def check_linearizability(history: History, initial_label: str = INITIAL_LABEL,
         Safety valve for the reference search; the checker gives up
         (reporting failure with an explanatory reason) if exceeded.
     """
-    fast = _fast_check(history, initial_label)
-    if fast is not None:
-        return fast
-    return check_linearizability_reference(history, initial_label, max_states)
+    return check_history(history, False, initial_label, max_states)[0]
 
 
-# ======================================================================
-# Fast path: value-partition checker
-# ======================================================================
+def check_history(history: History, per_key: bool,
+                  initial_label: str = INITIAL_LABEL,
+                  max_states: int = 2_000_000,
+                  ) -> Tuple[Union[LinearizabilityResult,
+                                   "PerKeyLinearizabilityResult"], Optional[str]]:
+    """Both batch verdicts from one replay of ``history``.
 
-class _Cluster:
-    """One effective written value: its write plus the reads returning it."""
-
-    __slots__ = ("write", "reads", "min_res", "max_inv")
-
-    def __init__(self, write: OperationRecord, reads: List[OperationRecord]) -> None:
-        self.write = write
-        self.reads = reads
-        min_res = write.responded_at if write.complete else _INFINITY
-        max_inv = write.invoked_at
-        for read in reads:
-            if read.responded_at < min_res:
-                min_res = read.responded_at
-            if read.invoked_at > max_inv:
-                max_inv = read.invoked_at
-        #: Earliest response of any cluster operation: if it lies before an
-        #: operation of another cluster, this cluster's segment must come
-        #: first in every linearization.
-        self.min_res = min_res
-        #: Latest invocation of any cluster operation (the dual bound).
-        self.max_inv = max_inv
-
-
-def _fast_check(history: History,
-                initial_label: str) -> Optional[LinearizabilityResult]:
-    """Decide the history directly, or return ``None`` when ambiguous.
-
-    Never guesses: ``ok=True`` only with a sweep-verified witness,
-    ``ok=False`` only on violated necessary conditions.
+    Returns ``(linearizability, tag_violation)`` as
+    :func:`check_linearizability` and :func:`check_tag_monotonicity` (or,
+    when ``per_key``, their ``_per_key`` variants) report them.
     """
-    reads = history.reads(complete_only=True)
-    writes = [w for w in history.writes() if not w.failed]
-
-    writes_by_label: Dict[str, OperationRecord] = {}
-    for write in writes:
-        label = write.value_label
-        if label is None or label == initial_label or label in writes_by_label:
-            return None  # ambiguous labelling: leave it to the reference search
-        writes_by_label[label] = write
-
-    initial_reads: List[OperationRecord] = []
-    reads_by_label: Dict[str, List[OperationRecord]] = {}
-    for read in reads:
-        label = read.value_label
-        if label == initial_label:
-            initial_reads.append(read)
-        elif label in writes_by_label:
-            reads_by_label.setdefault(label, []).append(read)
+    registers, tags = replay(history, per_key, initial_label)
+    results: Dict[Optional[str], LinearizabilityResult] = {}
+    for key, register in registers.items():
+        if register.ambiguous is not None:
+            sub = history.for_key(key) if per_key else history
+            results[key] = check_linearizability_reference(sub, initial_label,
+                                                           max_states)
         else:
-            return LinearizabilityResult(
-                ok=False,
-                reason=(f"read {read} returned label {read.value_label!r} which no "
-                        "write in the history produced"),
-                method="fast",
-            )
-
-    # Effective clusters: complete writes always take effect; pending writes
-    # only when some read returned their value (dropping a read-free pending
-    # write can never hurt, so the witness simply omits them).
-    clusters: List[_Cluster] = []
-    for label, write in writes_by_label.items():
-        cluster_reads = reads_by_label.get(label, [])
-        if not write.complete and not cluster_reads:
-            continue
-        for read in cluster_reads:
-            if read.responded_at < write.invoked_at:
-                return LinearizabilityResult(
-                    ok=False,
-                    reason=(f"read {read} completed before the write of "
-                            f"{label!r} ({write}) was invoked"),
-                    method="fast",
-                )
-        clusters.append(_Cluster(write, cluster_reads))
-
-    # Reads of the initial value must be linearized before every write.
-    if initial_reads:
-        latest_initial_inv = max(r.invoked_at for r in initial_reads)
-        for cluster in clusters:
-            if cluster.min_res < latest_initial_inv:
-                return LinearizabilityResult(
-                    ok=False,
-                    reason=(f"a read of the initial value was invoked after an "
-                            f"operation on {cluster.write.value_label!r} completed"),
-                    method="fast",
-                )
-
-    # Cluster-level real-time cycle: clusters u, v where an operation of u
-    # precedes one of v AND vice versa can never both be contiguous segments.
-    # u must precede v iff min_res(u) < max_inv(v), so a cycle is a pair with
-    # min_res(u) < max_inv(v) and min_res(v) < max_inv(u); detected in
-    # O(V log V) with a prefix scan over clusters sorted by min_res.
-    by_min_res = sorted(clusters, key=lambda c: c.min_res)
-    min_res_list = [c.min_res for c in by_min_res]
-    running_max_inv = -_INFINITY
-    prefix_max_inv: List[float] = []
-    for cluster in by_min_res:
-        if cluster.max_inv > running_max_inv:
-            running_max_inv = cluster.max_inv
-        prefix_max_inv.append(running_max_inv)
-    for j, cluster in enumerate(by_min_res):
-        k = min(bisect_left(min_res_list, cluster.max_inv), j)
-        if k > 0 and prefix_max_inv[k - 1] > cluster.min_res:
-            return LinearizabilityResult(
-                ok=False,
-                reason=("two written values each contain an operation that "
-                        "really precedes an operation of the other (stale read "
-                        f"or new/old inversion around {cluster.write.value_label!r})"),
-                method="fast",
-            )
-
-    # Candidate segment orders: earliest-response order is correct for the
-    # common case; the protocol's own tags (when every write carries one)
-    # give a second, just-in-time-style candidate.
-    candidates: List[List[_Cluster]] = [
-        sorted(clusters, key=lambda c: (c.min_res, c.write.invoked_at, c.write.op_id)),
-    ]
-    if clusters and all(c.write.tag is not None for c in clusters):
-        candidates.append(sorted(
-            clusters, key=lambda c: (c.write.tag.sort_key, c.write.op_id)))
-
-    prologue = sorted(initial_reads, key=lambda r: (r.invoked_at, r.op_id))
-    for candidate in candidates:
-        witness: List[OperationRecord] = list(prologue)
-        for cluster in candidate:
-            witness.append(cluster.write)
-            witness.extend(sorted(cluster.reads,
-                                  key=lambda r: (r.invoked_at, r.op_id)))
-        if _verify_witness(witness):
-            return LinearizabilityResult(
-                ok=True, order=[op.op_id for op in witness], method="fast")
-
-    if not clusters and not initial_reads:
-        return LinearizabilityResult(ok=True, method="fast")
-    return None  # no candidate verified: ambiguous, defer to the search
-
-
-def _verify_witness(witness: List[OperationRecord]) -> bool:
-    """Check a candidate order against real time in one linear sweep.
-
-    The order is semantically valid by construction (each value is a
-    contiguous segment opened by its write), so only real-time precedence
-    remains: no operation may respond before an *earlier-placed* operation
-    was invoked.
-    """
-    max_inv_so_far = -_INFINITY
-    for op in witness:
-        responded = op.responded_at
-        if responded is not None and responded < max_inv_so_far:
-            return False
-        if op.invoked_at > max_inv_so_far:
-            max_inv_so_far = op.invoked_at
-    return True
+            results[key] = LinearizabilityResult(
+                ok=register.failure is None, reason=register.failure or "",
+                method="fast")
+    tag_violation = first_tag_failure(tags, per_key)
+    if not per_key:
+        # Only an empty history has no register at all.
+        result = results.get(None, LinearizabilityResult(ok=True, method="fast"))
+        return result, tag_violation
+    failed = [key for key, result in results.items() if not result.ok]
+    reason = f"key {failed[0]!r}: {results[failed[0]].reason}" if failed else ""
+    return (PerKeyLinearizabilityResult(ok=not failed, results=results, reason=reason),
+            tag_violation)
 
 
 # ======================================================================
@@ -277,9 +119,10 @@ def check_linearizability_reference(history: History,
                                     max_states: int = 2_000_000) -> LinearizabilityResult:
     """Exhaustive Wing-Gong search (the pre-existing reference checker).
 
-    Kept both as the fallback for histories the fast checker cannot decide
-    and as the oracle for the differential test-suite and the performance
-    baseline in ``benchmarks/bench_simcore.py``.
+    Kept both as the fallback for histories the online checker cannot
+    decide and as the oracle for the differential test-suite and the
+    performance baseline in ``benchmarks/bench_simcore.py``.  The only
+    source of witness orders.
     """
     reads = [r for r in history.reads(complete_only=True)]
     complete_writes = [w for w in history.writes() if w.complete]
@@ -377,36 +220,13 @@ def check_tag_monotonicity(history: History) -> Optional[str]:
     larger (a write always increments past every tag it discovered).
     Returns ``None`` if the condition holds, otherwise a description of the
     first violation.  This is a fast sanity check used alongside the full
-    linearizability search.
-
-    Runs in ``O(n log n)``: with operations sorted by response time, the
-    real-time predecessors of an operation are a prefix (all operations that
-    responded before its invocation), so each operation only needs to be
-    compared against the maximum tag of that prefix.
+    linearizability search; it replays the history through
+    :class:`~repro.spec.streaming.OnlineTagChecker`, which compares each
+    operation against the maximum tag of the operations that responded
+    before its invocation in ``O(log n)``.
     """
-    operations = [op for op in history.operations(complete_only=True)
-                  if op.tag is not None and op.op_type is not OperationType.RECONFIG]
-    operations.sort(key=lambda op: op.responded_at)
-    response_times = [op.responded_at for op in operations]
-    # prefix_best[i]: operation with the maximum tag among operations[0..i]
-    # (earliest such operation on ties, matching the pairwise scan's order).
-    prefix_best: List[OperationRecord] = []
-    best = None
-    for op in operations:
-        if best is None or op.tag > best.tag:
-            best = op
-        prefix_best.append(best)
-    for second in operations:
-        count = bisect_left(response_times, second.invoked_at)
-        if count == 0:
-            continue
-        first = prefix_best[count - 1]
-        if second.tag < first.tag:
-            return (f"tag of {second} is smaller than the tag of the preceding {first}")
-        if second.op_type is OperationType.WRITE and not second.tag > first.tag:
-            return (f"write {second} does not have a strictly larger tag than the "
-                    f"preceding {first}")
-    return None
+    _, tags = replay(history, False)
+    return first_tag_failure(tags, False)
 
 
 # ======================================================================
@@ -450,8 +270,8 @@ def check_linearizability_per_key(history: History,
                                   ) -> PerKeyLinearizabilityResult:
     """Check a keyed history: every object key must linearize independently.
 
-    Each per-key sub-history runs through :func:`check_linearizability`
-    (fast checker first, Wing-Gong fallback).  Key-less records (e.g.
+    One replay gives every key its own online checker (Wing-Gong fallback
+    per ambiguous key).  Key-less records (e.g.
     reconfigurations mixed into a store history) form their own group; with
     no read/write operations it passes trivially.  Every key is checked
     even after a failure so ``results`` is always complete.
@@ -465,16 +285,7 @@ def check_linearizability_per_key(history: History,
     configuration-agnostic, which is exactly the paper's claim that
     atomicity survives reconfiguration.
     """
-    results: Dict[Optional[str], LinearizabilityResult] = {}
-    ok = True
-    reason = ""
-    for key, sub in history.split_by_key().items():
-        result = check_linearizability(sub, initial_label, max_states)
-        results[key] = result
-        if not result.ok and ok:
-            ok = False
-            reason = f"key {key!r}: {result.reason}"
-    return PerKeyLinearizabilityResult(ok=ok, results=results, reason=reason)
+    return check_history(history, True, initial_label, max_states)[0]
 
 
 def check_tag_monotonicity_per_key(history: History) -> Optional[str]:
@@ -488,8 +299,5 @@ def check_tag_monotonicity_per_key(history: History) -> Optional[str]:
     records themselves carry no register tag and are skipped).  Returns the
     first violation prefixed with its key, or ``None``.
     """
-    for key, sub in history.split_by_key().items():
-        violation = check_tag_monotonicity(sub)
-        if violation is not None:
-            return f"key {key!r}: {violation}"
-    return None
+    _, tags = replay(history, True)
+    return first_tag_failure(tags, True)

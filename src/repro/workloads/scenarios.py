@@ -264,10 +264,7 @@ class ChaosRunResult:
         monotonicity are asserted on every per-key sub-history (the
         checker-method label becomes e.g. ``per-key(fast)``).
         """
-        from repro.spec.linearizability import (check_linearizability,
-                                                check_linearizability_per_key,
-                                                check_tag_monotonicity,
-                                                check_tag_monotonicity_per_key)
+        from repro.spec.linearizability import check_history
 
         errors = list(self.workload.errors) + list(self.reconfig_errors)
         if errors:
@@ -279,32 +276,20 @@ class ChaosRunResult:
             stream.finalize()
             method = stream.method()
             lin_failure = stream.linearizability_failure()
-            if lin_failure is not None:
-                return (f"scenario {self.scenario.name!r} (seed {self.seed}) "
-                        f"violated atomicity: {lin_failure}\nchaos log:\n"
-                        f"{self.engine.describe_log()}"), method
             tag_violation = stream.tag_failure()
-            if tag_violation is not None:
-                return (f"scenario {self.scenario.name!r} (seed {self.seed}) "
-                        f"violated tag monotonicity: {tag_violation}"), method
-            return None, method
-        keyed = self.history.is_keyed()
-        if keyed:
-            result = check_linearizability_per_key(self.history)
         else:
-            result = check_linearizability(self.history)
-        if not result.ok:
+            result, tag_violation = check_history(self.history,
+                                                  self.history.is_keyed())
+            method = result.method
+            lin_failure = None if result.ok else result.reason
+        if lin_failure is not None:
             return (f"scenario {self.scenario.name!r} (seed {self.seed}) violated "
-                    f"atomicity: {result.reason}\nchaos log:\n"
-                    f"{self.engine.describe_log()}"), result.method
-        if keyed:
-            monotonic = check_tag_monotonicity_per_key(self.history)
-        else:
-            monotonic = check_tag_monotonicity(self.history)
-        if monotonic is not None:
+                    f"atomicity: {lin_failure}\nchaos log:\n"
+                    f"{self.engine.describe_log()}"), method
+        if tag_violation is not None:
             return (f"scenario {self.scenario.name!r} (seed {self.seed}) violated "
-                    f"tag monotonicity: {monotonic}"), result.method
-        return None, result.method
+                    f"tag monotonicity: {tag_violation}"), method
+        return None, method
 
     def verify(self) -> None:
         """Assert liveness (no stalled/errored session) and atomicity.

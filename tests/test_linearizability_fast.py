@@ -1,12 +1,14 @@
-"""Differential tests: the fast linearizability checker vs Wing-Gong.
+"""Differential tests: the replayed online checker vs Wing-Gong.
 
-The fast value-partition checker (PR 2) must agree with the exhaustive
+Batch verification replays a history through the online value-partition
+checker (method label ``"fast"``); it must agree with the exhaustive
 reference search on *every* history -- it is allowed to defer (fall back),
 never to disagree.  These tests drive both checkers over thousands of
 seeded random histories, including incomplete writes, reads of the initial
 value, deliberately non-linearizable mutations and duplicate-label
-histories that force the fallback path, and validate every positive
-witness independently.
+histories that force the fallback path, and validate every witness order
+the reference search reports independently (only the reference search
+reports one).
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ class TestDifferential:
                 f"vs {reference.reason!r} on\n{history.describe()}")
             if combined.method == "fast":
                 fast_decisions += 1
-            if combined.ok:
-                validate_witness(history, combined.order)
+                assert combined.order == []
+            if reference.ok:
+                validate_witness(history, reference.order)
         # The fast path must carry the overwhelming majority of histories,
         # otherwise the fallback erodes the performance win.
         assert fast_decisions > 1800
@@ -169,8 +172,8 @@ class TestDifferential:
         for _ in range(200):
             history = sequential_history(rng, rng.randint(0, 60))
             result = check_linearizability(history)
+            # Linearizable by construction: the online checker must prove it.
             assert result.ok and result.method == "fast", result.reason
-            validate_witness(history, result.order)
 
     def test_mutated_histories_rejected_by_both(self):
         rng = random.Random(0xBAD)
@@ -261,8 +264,8 @@ class TestFastCheckerUnit:
         history.respond(r_b, 4.0, value_label="b", tag=Tag(2, writer_id(1)))
         result = check_linearizability(history)
         reference = check_linearizability_reference(history)
-        assert reference.ok and result.ok
-        validate_witness(history, result.order)
+        assert reference.ok and result.ok and result.method == "fast"
+        validate_witness(history, reference.order)
 
     def test_empty_history_fast(self):
         result = check_linearizability(History())

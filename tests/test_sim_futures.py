@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.common.errors import OperationAborted, SimulationError
+from repro.common.errors import (RETIRED_CONFIG_REASON, OperationAborted,
+                                 QuorumRefusedError, SimulationError,
+                                 is_retirement_refusal)
 from repro.sim.core import Simulator
 from repro.sim.futures import (
     Coroutine,
@@ -91,6 +93,33 @@ class TestQuorumFuture:
     def test_negative_threshold_rejected(self, sim):
         with pytest.raises(SimulationError):
             QuorumFuture(sim, threshold=-1)
+
+    def test_retired_nacks_fail_even_when_threshold_still_reachable(self, sim):
+        # 5 contacted, threshold 3: 2 acks and 2 retired-config NACKs leave
+        # the third acceptance to the fifth server -- which may have crashed.
+        # Retirement is permanent, so the gather fails as a retirement
+        # refusal instead of waiting forever.
+        fut = QuorumFuture(sim, threshold=3, expected=5,
+                           distinct_by=lambda response: response[0])
+        fut.add_response(("s1", {}))
+        fut.add_response(("s2", {}))
+        fut.add_nack(("s3", {"error": RETIRED_CONFIG_REASON}))
+        fut.add_nack(("s4", {"error": RETIRED_CONFIG_REASON}))
+        assert fut.done()
+        with pytest.raises(QuorumRefusedError) as caught:
+            fut.result()
+        assert is_retirement_refusal(caught.value)
+
+    def test_pressure_nacks_wait_while_threshold_reachable(self, sim):
+        fut = QuorumFuture(sim, threshold=3, expected=5)
+        fut.add_response("a")
+        fut.add_nack(("s3", {"error": "resource:memory"}))
+        fut.add_nack(("s4", {"error": "resource:memory"}))
+        assert not fut.done()
+        fut.add_nack(("s5", {"error": "resource:memory"}))
+        with pytest.raises(QuorumRefusedError) as caught:
+            fut.result()
+        assert not is_retirement_refusal(caught.value)
 
 
 class TestTimerAndCombinators:

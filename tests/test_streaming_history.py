@@ -1,8 +1,10 @@
-"""Differential tests: streaming verification against the batch checkers.
+"""Differential tests: streaming verification against the batch replay.
 
-The streaming stack (``repro.spec.streaming``) must be *equivalent* to the
-batch path everywhere it claims a verdict: same pass/fail decision, same
-failure classification, and byte-identical signature hashes.  Histories it
+Batch checks replay a recorded history through the same online checkers
+that verify a streaming history as it is recorded, so the two modes must be
+*equivalent* everywhere streaming claims a verdict: same pass/fail
+decision, same failure classification, and byte-identical signature
+hashes.  Histories it
 cannot decide online must raise :class:`StreamingAmbiguityError` -- never
 silently pass.  These tests drive both modes over the scenario registry and
 over hand-doctored adversarial histories.
@@ -188,9 +190,31 @@ def test_no_greedy_witness_raises_ambiguity():
         streaming.stream.linearizability_failure()
 
 
+def test_violation_after_dead_witness_sweeps_is_proven():
+    """Both candidate orders dying (the history above) does not stop the
+    necessary-condition checks: a later read of B after A's read, which
+    B's write preceded, is a proven violation in both modes."""
+    def build(h):
+        wa = h.invoke(W0, WRITE, 0.0, value_label="A")
+        wc = h.invoke(W0, WRITE, 5.0, value_label="C")
+        wb = h.invoke(W1, WRITE, 10.0, value_label="B")
+        h.respond(wa, 15.0)
+        h.respond(wb, 40.0)
+        r = h.invoke(R0, READ, 60.0)
+        h.respond(r, 70.0, value_label="A")
+        h.respond(wc, 100.0)
+        late = h.invoke(reader_id(1), READ, 110.0)
+        h.respond(late, 111.0, value_label="B")
+
+    batch, streaming = _dual(build)
+    result = check_linearizability(batch)
+    assert not result.ok and result.method == "fast"
+    assert streaming.stream.linearizability_failure() is not None
+
+
 def test_tag_order_witness_decides_when_min_res_order_fails():
     """Same shape as above but with protocol tags: the tag-order candidate
-    (batch candidate 2) must rescue the verdict online too."""
+    must rescue the verdict in both modes."""
     def build(h):
         wa = h.invoke(W0, WRITE, 0.0, value_label="A")
         wb = h.invoke(W1, WRITE, 10.0, value_label="B")
