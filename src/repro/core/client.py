@@ -21,18 +21,16 @@ latency benchmarks can measure operation intervals.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.common.errors import QuorumRefusedError, is_retirement_refusal
-from repro.common.ids import ConfigId, ProcessId
+from repro.common.ids import ProcessId
 from repro.common.tags import BOTTOM_TAG, TagValue
 from repro.common.values import BOTTOM_VALUE, Value
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigSequence
 from repro.core.directory import ConfigurationDirectory
-from repro.core.traversal import SequenceTraversalMixin
-from repro.dap import make_dap_client
-from repro.dap.interface import DapClient
+from repro.core.traversal import RegisterState, SequenceTraversalMixin
 from repro.net.network import Network
 from repro.sim.process import Process
 from repro.spec.history import History, OperationType
@@ -176,19 +174,14 @@ class AresClient(Process, RegisterOpsMixin):
         self.history = history
         self.dap_recorder = dap_recorder
         directory.register(initial_configuration)
-        #: The client's local configuration sequence ``cseq`` (Algorithm 7 state).
-        self.cseq = ConfigSequence(initial_configuration)
-        self._dap_clients: Dict[ConfigId, DapClient] = {}
+        self._state = RegisterState(self, initial_configuration)
         self._write_counter = 0
 
     # --------------------------------------------------------------- plumbing
-    def dap_for(self, configuration: Configuration) -> DapClient:
-        """The (cached) DAP client for ``configuration``."""
-        client = self._dap_clients.get(configuration.cfg_id)
-        if client is None:
-            client = make_dap_client(self, configuration)
-            self._dap_clients[configuration.cfg_id] = client
-        return client
+    @property
+    def cseq(self) -> ConfigSequence:
+        """The client's local configuration sequence ``cseq`` (Algorithm 7 state)."""
+        return self._state.cseq
 
     def next_value(self, size: int) -> Value:
         """A fresh uniquely-labelled value for workload generation."""
@@ -198,8 +191,8 @@ class AresClient(Process, RegisterOpsMixin):
     # ------------------------------------------------------------- operations
     def write(self, value: Value):
         """Coroutine implementing the ARES write operation."""
-        return self._register_write(self.cseq, self.dap_for, value)
+        return self._register_write(self._state.cseq, self._state.dap_for, value)
 
     def read(self):
         """Coroutine implementing the ARES read operation; returns the value."""
-        return self._register_read(self.cseq, self.dap_for)
+        return self._register_read(self._state.cseq, self._state.dap_for)

@@ -24,17 +24,47 @@ onto the redirect target and resuming the walk from there, so a client whose
 replaying reclaimed links.
 
 The helper is written as a mixin so the ARES clients and the reconfigurer
-share one implementation.
+share one implementation.  :class:`RegisterState` is the per-register local
+state those operations traverse: a ``cseq`` plus its DAP-client cache.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.common.ids import ConfigId
 from repro.config.configuration import Configuration
 from repro.config.sequence import ConfigRecord, ConfigSequence, Status
+from repro.dap import make_dap_client
+from repro.dap.interface import DapClient
 from repro.net.message import request
 from repro.core.server import READ_CONFIG, WRITE_CONFIG
+from repro.sim.process import Process
+
+
+class RegisterState:
+    """One register's client-side state: its ``cseq`` and DAP-client cache.
+
+    Every ARES client process keeps one per register it operates on: the
+    single-register clients and reconfigurers one, the store's clients and
+    shard reconfigurers one per object key.  Operations take the ``cseq``
+    and the bound :meth:`dap_for` as the register they run against.
+    """
+
+    __slots__ = ("process", "cseq", "_dap_clients")
+
+    def __init__(self, process: Process, configuration: Configuration) -> None:
+        self.process = process
+        self.cseq = ConfigSequence(configuration)
+        self._dap_clients: Dict[ConfigId, DapClient] = {}
+
+    def dap_for(self, configuration: Configuration) -> DapClient:
+        """The (cached) DAP client of ``process`` for ``configuration``."""
+        client = self._dap_clients.get(configuration.cfg_id)
+        if client is None:
+            client = make_dap_client(self.process, configuration)
+            self._dap_clients[configuration.cfg_id] = client
+        return client
 
 
 class SequenceTraversalMixin:

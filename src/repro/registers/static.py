@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.ids import ProcessId, reader_id, server_id, writer_id
-from repro.common.tags import TagValue
+from repro.common.tags import Tag, TagValue
 from repro.common.values import Value
 from repro.config.configuration import Configuration, DapKind
 from repro.dap import make_dap_client, make_dap_server_state
@@ -126,12 +126,21 @@ class StaticRegisterDeployment:
 
     Parameters
     ----------
-    configuration_factory:
-        Callable receiving the list of server ids and returning the
-        :class:`~repro.config.configuration.Configuration`; use
-        ``Configuration.abd`` / ``Configuration.treas`` / ``Configuration.ldr``
-        partials.  Convenience constructors :meth:`abd`, :meth:`treas` and
+    configuration:
+        The one :class:`~repro.config.configuration.Configuration` the
+        register runs in; a :class:`RegisterServer` is built for each of its
+        servers.  Convenience constructors :meth:`abd`, :meth:`treas` and
         :meth:`ldr` cover the common cases.
+    num_writers, num_readers:
+        Client population.
+    latency:
+        Network latency model (the network's default when ``None``).
+    seed:
+        Simulator seed.
+    record_dap:
+        Install a :class:`~repro.spec.properties.DapRecorder` on all clients.
+    use_template_a2:
+        Reads skip the put-data phase (template A2, see :class:`RegisterClient`).
     """
 
     def __init__(
@@ -195,11 +204,9 @@ class StaticRegisterDeployment:
         return cls(Configuration.ldr(config_id(0), directories, replicas), **kwargs)
 
     # ------------------------------------------------------------ sync helpers
-    def write(self, value: Value, writer_index: int = 0) -> None:
-        """Run one write to completion on writer ``writer_index``."""
-        writer = self.writers[writer_index]
-        op = writer.spawn(writer.write(value), label=f"{writer.pid}:write")
-        self.sim.run_until_complete(op)
+    def write(self, value: Value, writer_index: int = 0) -> Tag:
+        """Run one write to completion on writer ``writer_index``; returns its tag."""
+        return self.sim.run_until_complete(self.spawn_write(value, writer_index))
 
     def read(self, reader_index: int = 0) -> Value:
         """Run one read to completion on reader ``reader_index`` and return the value."""

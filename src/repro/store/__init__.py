@@ -5,17 +5,20 @@ emulate *one* ARES object.  This package scales the namespace out: a store
 multiplexes many named objects over one simulator and network by hashing
 keys onto **shards** -- disjoint server slices that each run their own DAP
 kind (ABD, LDR and TREAS shards coexist in one deployment) -- and running
-the ARES client algorithm independently per key.
+the ARES client algorithm independently per key.  Store servers are plain
+:class:`~repro.core.server.AresServer` processes: each holds one lazily
+created DAP state per object configuration it belongs to, so one process
+serves as many registers as its shards hold keys.
 
 * :mod:`repro.store.shardmap`    -- deterministic ``crc32`` key -> shard
   assignment and lazy per-object configurations (``st<shard>/<key>``).
-* :mod:`repro.store.server`      -- :class:`StoreServer`: one process
-  hosting many per-object DAP server states.
 * :mod:`repro.store.client`      -- :class:`StoreClient`: keyed
   ``read``/``write`` plus ``multi_get``/``multi_put`` batches whose per-key
   quorum rounds are pipelined concurrently through the futures layer.
 * :mod:`repro.store.deployment`  -- :class:`StoreDeployment`: the wired
-  system (servers, clients, reconfigurers, shard map, shared keyed history).
+  system, built on the deployment core
+  :class:`~repro.core.deployment.Deployment` (shard map, clients,
+  reconfigurers, shared keyed history).
 * :mod:`repro.store.reconfigurer` -- :class:`ShardReconfigurer`: live
   per-shard migrations (new servers and/or DAP kind) and key-range
   rebalances driving the ARES reconfiguration traversal per object key,
@@ -44,7 +47,6 @@ A minimal session::
 from repro.store.client import StoreClient
 from repro.store.deployment import StoreDeployment, StoreSpec
 from repro.store.reconfigurer import ShardReconfigurer
-from repro.store.server import StoreServer
 from repro.store.shardmap import (
     SHARD_DAP_KINDS,
     Placement,
@@ -65,7 +67,6 @@ __all__ = [
     "StaleEpochError",
     "StoreClient",
     "StoreDeployment",
-    "StoreServer",
     "StoreSpec",
     "shard_index_for",
 ]

@@ -1,11 +1,13 @@
 """Deployment builder for sharded multi-object stores.
 
-:class:`StoreDeployment` wires a complete store onto **one** simulator and
-network: a pool of :class:`~repro.store.server.StoreServer` processes carved
-into per-shard slices, a :class:`~repro.store.shardmap.ShardMap` assigning
-keys to shards (each shard with its own DAP kind, so ABD, LDR and TREAS
-shards coexist), writer/reader :class:`~repro.store.client.StoreClient`
-processes, and one shared keyed :class:`~repro.spec.history.History`.
+:class:`StoreDeployment` is a :class:`~repro.core.deployment.Deployment`
+whose topology is a :class:`~repro.store.shardmap.ShardMap`: the server
+pool (``s0..`` in shard order) is carved into per-shard slices, each shard
+running its own DAP kind (so ABD, LDR and TREAS shards coexist), and every
+key is its own ARES register.  Writers and readers are
+:class:`~repro.store.client.StoreClient` processes, reconfigurers are
+:class:`~repro.store.reconfigurer.ShardReconfigurer` processes, and all
+of them record into one shared keyed :class:`~repro.spec.history.History`.
 
 The deployment exposes the same driver surface as
 :class:`~repro.core.deployment.AresDeployment` (``sim``/``network``/
@@ -18,34 +20,25 @@ keyspace mode.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
-from repro.common.errors import ConfigurationError
-from repro.common.ids import (
-    ProcessId,
-    reader_id,
-    reconfigurer_id,
-    server_id,
-    writer_id,
-)
+from repro.common.ids import ProcessId
 from repro.common.values import Value
-from repro.core.directory import ConfigurationDirectory
-from repro.net.latency import LatencyModel, UniformLatency
-from repro.net.network import Network
-from repro.sim.core import Simulator
+from repro.core.deployment import BaseSpec, Deployment
 from repro.sim.futures import Coroutine
-from repro.sim.process import RetryPolicy
-from repro.spec.history import History
-from repro.spec.properties import DapRecorder
 from repro.store.client import StoreClient
 from repro.store.reconfigurer import ShardReconfigurer
-from repro.store.server import StoreServer
 from repro.store.shardmap import Shard, ShardMap, ShardSpec
 
 
 @dataclass
-class StoreSpec:
+class StoreSpec(BaseSpec):
     """Parameters of a sharded store deployment.
+
+    The shared fields are documented on
+    :class:`~repro.core.deployment.BaseSpec`; ``gc`` enables per-key
+    configuration retirement on every
+    :class:`~repro.store.reconfigurer.ShardReconfigurer`.
 
     Attributes
     ----------
@@ -53,124 +46,45 @@ class StoreSpec:
         One :class:`~repro.store.shardmap.ShardSpec` per shard; each shard
         gets its own disjoint slice of the server pool and may run a
         different DAP kind.
-    num_writers, num_readers:
-        Client population (every client can address every key).
-    num_reconfigurers:
-        :class:`~repro.store.reconfigurer.ShardReconfigurer` population
-        (shard migrations and key-range rebalances).
-    latency:
-        Network latency model (default ``UniformLatency(1, 2)``).
-    seed:
-        Simulator seed.
-    record_dap:
-        Install a :class:`~repro.spec.properties.DapRecorder` on all clients.
-    retry:
-        A :class:`~repro.sim.process.RetryPolicy` installed on every writer
-        and reader (never on reconfigurers); ``None`` keeps the gather path
-        byte-identical to builds without retry.
-    gc:
-        Enable per-key configuration retirement on the reconfigurers (see
-        :class:`~repro.store.reconfigurer.ShardReconfigurer`); ``False``
-        keeps executions byte-identical to builds without retirement.
     """
 
     shards: Tuple[ShardSpec, ...] = (ShardSpec(), ShardSpec())
-    num_writers: int = 2
-    num_readers: int = 2
-    num_reconfigurers: int = 1
-    latency: Optional[LatencyModel] = None
-    seed: int = 0
-    record_dap: bool = False
-    retry: Optional[RetryPolicy] = None
-    gc: bool = False
 
 
-class StoreDeployment:
+class StoreDeployment(Deployment):
     """A complete, runnable sharded key-value store."""
 
     #: Marks keyed deployments for the closed-loop workload driver.
     keyed = True
 
     def __init__(self, spec: Optional[StoreSpec] = None, **overrides) -> None:
-        if spec is None:
-            spec = StoreSpec(**overrides)
-        elif overrides:
-            raise ConfigurationError(
-                "pass either a StoreSpec or keyword overrides, not both")
-        self.spec = spec
-        self.sim = Simulator(seed=spec.seed)
-        self.network = Network(self.sim, latency=spec.latency or UniformLatency(1.0, 2.0))
-        self.directory = ConfigurationDirectory()
-        self.history = History()
-        self.dap_recorder = DapRecorder(self.sim) if spec.record_dap else None
-
-        # Carve the global server pool into per-shard slices (s0.. in shard
-        # order), then build the shard map the servers also consult.
-        shards: List[Shard] = []
-        shard_servers: List[List[ProcessId]] = []
-        next_index = 0
+        spec = StoreSpec.resolve(spec, overrides)
+        super().__init__(spec)
+        pool = self.add_servers(sum(shard_spec.num_servers for shard_spec in spec.shards))
+        shards = []
         for shard_index, shard_spec in enumerate(spec.shards):
-            ids = [server_id(next_index + i) for i in range(shard_spec.num_servers)]
-            next_index += shard_spec.num_servers
-            shard_servers.append(ids)
+            ids, pool = pool[:shard_spec.num_servers], pool[shard_spec.num_servers:]
             shards.append(Shard(shard_index, shard_spec, ids, self.directory))
         self.shard_map = ShardMap(shards)
+        self._add_clients()
 
-        self.servers: Dict[ProcessId, StoreServer] = {}
-        for ids in shard_servers:
-            for pid in ids:
-                self.servers[pid] = StoreServer(pid, self.network, self.directory,
-                                                shard_map=self.shard_map)
+    def _new_client(self, pid: ProcessId) -> StoreClient:
+        return StoreClient(pid, self.network, self.directory, self.shard_map,
+                           history=self.history, dap_recorder=self.dap_recorder)
 
-        self.writers: List[StoreClient] = [
-            StoreClient(writer_id(i), self.network, self.directory, self.shard_map,
-                        history=self.history, dap_recorder=self.dap_recorder)
-            for i in range(spec.num_writers)
-        ]
-        self.readers: List[StoreClient] = [
-            StoreClient(reader_id(i), self.network, self.directory, self.shard_map,
-                        history=self.history, dap_recorder=self.dap_recorder)
-            for i in range(spec.num_readers)
-        ]
-        if spec.retry is not None:
-            for client in [*self.writers, *self.readers]:
-                client.enable_retries(spec.retry, seed=spec.seed)
-        self.reconfigurers: List[ShardReconfigurer] = [
-            ShardReconfigurer(reconfigurer_id(i), self.network, self.directory,
-                              self.shard_map, history=self.history,
-                              dap_recorder=self.dap_recorder, gc=spec.gc)
-            for i in range(spec.num_reconfigurers)
-        ]
-        self._next_server_index = next_index
-
-    # --------------------------------------------------------------- topology
-    def add_servers(self, count: int) -> List[ProcessId]:
-        """Add ``count`` fresh store servers to the pool and return their ids.
-
-        Fresh servers start with no shard membership; a shard migration
-        (:meth:`migrate_shard`) recruits them as a target slice.
-        """
-        added = []
-        for _ in range(count):
-            pid = server_id(self._next_server_index)
-            self._next_server_index += 1
-            self.servers[pid] = StoreServer(pid, self.network, self.directory,
-                                            shard_map=self.shard_map)
-            added.append(pid)
-        return added
+    def _new_reconfigurer(self, pid: ProcessId) -> ShardReconfigurer:
+        return ShardReconfigurer(pid, self.network, self.directory, self.shard_map,
+                                 history=self.history, dap_recorder=self.dap_recorder,
+                                 gc=self.spec.gc)
 
     # ------------------------------------------------------------ operations
     def put(self, key: str, value: Value, writer_index: int = 0):
         """Run one store write to completion; returns the written tag."""
-        writer = self.writers[writer_index]
-        op = writer.spawn(writer.write(key, value), label=f"{writer.pid}:put:{key}")
-        return self.sim.run_until_complete(op)
+        return self.sim.run_until_complete(self.spawn_put(key, value, writer_index))
 
     def get(self, key: str, reader_index: int = 0) -> Value:
         """Run one store read to completion; returns the value."""
-        reader = self.readers[reader_index]
-        op = reader.spawn(reader.read(key), label=f"{reader.pid}:get:{key}")
-        return self.sim.run_until_complete(op)
+        return self.sim.run_until_complete(self.spawn_get(key, reader_index))
 
     def multi_put(self, items: Mapping[str, Value], writer_index: int = 0) -> Dict[str, object]:
         """Run a pipelined batch write to completion; returns ``{key: tag}``."""
@@ -256,23 +170,7 @@ class StoreDeployment:
         reader = self.readers[reader_index]
         return reader.spawn(reader.read(key), label=f"{reader.pid}:get:{key}")
 
-    def run(self) -> None:
-        """Drain the event queue, completing all spawned operations."""
-        self.sim.run()
-
     # ------------------------------------------------------------ accounting
-    def total_storage_data_bytes(self) -> int:
-        """Object-data bytes stored across every server and object."""
-        return sum(server.storage_data_bytes() for server in self.servers.values())
-
-    def configs_retired(self) -> int:
-        """Configurations reclaimed across the server pool (GC acks)."""
-        return sum(server.configs_retired for server in self.servers.values())
-
-    def bytes_reclaimed(self) -> int:
-        """Object-data bytes reclaimed by retirement across the server pool."""
-        return sum(server.bytes_reclaimed for server in self.servers.values())
-
     def storage_by_shard(self) -> Dict[int, int]:
         """Object-data bytes stored per shard (summed over its servers)."""
         totals: Dict[int, int] = {shard.index: 0 for shard in self.shard_map.shards}
@@ -284,17 +182,8 @@ class StoreDeployment:
     def storage_by_key(self) -> Dict[str, int]:
         """Object-data bytes stored per object key (summed over servers)."""
         totals: Dict[str, int] = {}
-        for server in self.servers.values():
-            for key, count in server.storage_by_key().items():
-                totals[key] = totals.get(key, 0) + count
+        for cfg_id, stored in self.storage_by_configuration().items():
+            key = self.shard_map.key_of(cfg_id)
+            if key is not None:
+                totals[key] = totals.get(key, 0) + stored
         return totals
-
-    @property
-    def stats(self):
-        """Network traffic statistics."""
-        return self.network.stats
-
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The network's latency model (exposes the ``d``/``D`` bounds)."""
-        return self.network.latency

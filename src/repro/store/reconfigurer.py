@@ -36,27 +36,15 @@ from typing import Dict, List, Optional, Sequence
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
 from repro.config.configuration import Configuration
-from repro.config.sequence import ConfigSequence
 from repro.core.directory import ConfigurationDirectory
 from repro.core.reconfig import ReconfigOpsMixin
-from repro.dap import make_dap_client
-from repro.dap.interface import DapClient
+from repro.core.traversal import RegisterState
 from repro.net.network import Network
 from repro.sim.futures import all_of
 from repro.sim.process import Process
 from repro.spec.history import History
 from repro.spec.properties import DapRecorder
 from repro.store.shardmap import ShardMap, ShardSpec
-
-
-class _KeyReconfigState:
-    """Per-key reconfigurer state: the key's ``cseq`` and DAP-client cache."""
-
-    __slots__ = ("cseq", "dap_clients")
-
-    def __init__(self, cseq: ConfigSequence) -> None:
-        self.cseq = cseq
-        self.dap_clients: Dict[ConfigId, DapClient] = {}
 
 
 class ShardReconfigurer(Process, ReconfigOpsMixin):
@@ -105,27 +93,20 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         self.dap_recorder = dap_recorder
         self.consensus_delay = consensus_delay
         self.gc_enabled = gc
-        self._keys: Dict[str, _KeyReconfigState] = {}
+        self._keys: Dict[str, RegisterState] = {}
         self.completed_reconfigs = 0
         #: Number of shard migrations / key-range rebalances completed.
         self.completed_migrations = 0
 
     # --------------------------------------------------------------- plumbing
-    def _state_for(self, key: str) -> _KeyReconfigState:
+    def _state_for(self, key: str) -> RegisterState:
         """The per-key reconfiguration state, created on first use."""
         state = self._keys.get(key)
         if state is None:
             configuration = self.shard_map.configuration_for(key)
-            state = _KeyReconfigState(ConfigSequence(configuration))
+            state = RegisterState(self, configuration)
             self._keys[key] = state
         return state
-
-    def _dap_for(self, state: _KeyReconfigState, configuration: Configuration) -> DapClient:
-        client = state.dap_clients.get(configuration.cfg_id)
-        if client is None:
-            client = make_dap_client(self, configuration)
-            state.dap_clients[configuration.cfg_id] = client
-        return client
 
     # ----------------------------------------------------- per-key reconfig
     def reconfig_key(self, key: str, proposed: Configuration):
@@ -139,7 +120,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         """
         state = self._state_for(key)
         installed = yield from self._register_reconfig(
-            state.cseq, lambda cfg: self._dap_for(state, cfg), proposed, key=key)
+            state.cseq, state.dap_for, proposed, key=key)
         self.shard_map.install_entry_point(key, state.cseq.last_finalized())
         return installed
 

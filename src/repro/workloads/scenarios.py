@@ -45,7 +45,7 @@ from repro.obs import slo
 from repro.obs.registry import install_metrics
 from repro.obs.report import MetricsReport
 from repro.sim.process import RetryPolicy
-from repro.store import ShardSpec, StoreDeployment, StoreSpec
+from repro.store import ShardSpec, StoreDeployment
 from repro.workloads.generator import ClosedLoopDriver, WorkloadResult, WorkloadSpec
 
 
@@ -558,26 +558,29 @@ def _spawn_reconfig_session(deployment, scenario: ChaosScenario):
 
 
 # ---------------------------------------------------------------- factories
-def _abd_deployment(seed: int) -> AresDeployment:
-    """ABD over 5 servers: majority quorums, crash tolerance f = 2."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=5, initial_dap="abd", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed))
+#: One deployment shape per DAP.  Victim choices in the registry stay inside
+#: each shape's tolerance envelope: ABD-5 (majority quorums) tolerates 2
+#: crashed/isolated servers, TREAS [6, 4] (quorum ceil((n+k)/2) = 5)
+#: tolerates 1, and LDR 3+3 (directory majority 2) tolerates 1 directory
+#: plus 1 replica.
+_SHAPES = {
+    "abd": ShardSpec(dap="abd", num_servers=5),
+    "treas": ShardSpec(dap="treas", num_servers=6, k=4, delta=8),
+    "ldr": ShardSpec(dap="ldr", num_servers=6),
+}
 
 
-def _treas_deployment(seed: int) -> AresDeployment:
-    """TREAS [6, 4]: quorum ceil((n+k)/2) = 5, crash tolerance f = 1."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", k=4, delta=8, num_writers=2,
-        num_readers=2, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
+def _ares(dap: str, retry: Optional[RetryPolicy] = None) -> Callable[[int], AresDeployment]:
+    """``seed -> AresDeployment``: one ARES register in ``dap``'s shape."""
+    shape = _SHAPES[dap]
+    return lambda seed: AresDeployment(num_servers=shape.num_servers, initial_dap=dap,
+                                       k=shape.k, delta=shape.delta, retry=retry, seed=seed)
 
 
-def _ldr_deployment(seed: int) -> AresDeployment:
-    """LDR over 6 servers (3 directories + 3 replicas): directory majority 2, replica f = 1."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="ldr", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed))
+def _store(*daps: str) -> Callable[[int], StoreDeployment]:
+    """``seed -> StoreDeployment``: one shard per entry of ``daps``, in order."""
+    shards = tuple(_SHAPES[dap] for dap in daps)
+    return lambda seed: StoreDeployment(shards=shards, seed=seed)
 
 
 _WORKLOAD = WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
@@ -585,15 +588,11 @@ _WORKLOAD = WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
 
 
 # ----------------------------------------------------------- the registry
-# Victim choices below stay inside each configuration's tolerance envelope:
-# ABD-5 tolerates 2 crashed/isolated servers, TREAS [6, 4] tolerates 1, and
-# LDR 3+3 tolerates 1 directory plus 1 replica.
-
 register_scenario(ChaosScenario(
     name="abd_crash_minority",
     description="ABD-5 loses a 2-server minority mid-traffic (crash-stop)",
     dap="abd", faults=("crash",),
-    deployment=_abd_deployment,
+    deployment=_ares("abd"),
     schedule=lambda d: Schedule([At(8, Crash("s3")), At(18, Crash("s4"))]),
     workload=_WORKLOAD,
 ))
@@ -602,7 +601,7 @@ register_scenario(ChaosScenario(
     name="abd_partition_minority",
     description="ABD-5 with a 2-server island partitioned away, then healed",
     dap="abd", faults=("partition",),
-    deployment=_abd_deployment,
+    deployment=_ares("abd"),
     schedule=lambda d: Schedule([During(6, 35, Isolate("s3", "s4"))]),
     workload=_WORKLOAD,
 ))
@@ -611,7 +610,7 @@ register_scenario(ChaosScenario(
     name="abd_reconfig_crash",
     description="ABD reconfigures onto fresh servers while an old server crashes",
     dap="abd", faults=("reconfig", "crash"),
-    deployment=_abd_deployment,
+    deployment=_ares("abd"),
     schedule=lambda d: Schedule([At(14, Crash("s4"))]),
     workload=_WORKLOAD,
     num_reconfigs=2, reconfig_cadence=6.0, fresh_servers=5,
@@ -625,7 +624,7 @@ register_scenario(ChaosScenario(
     name="abd_packet_chaos",
     description="ABD under lossy (one server), duplicating, reordering links",
     dap="abd", faults=("drop", "duplicate", "reorder"),
-    deployment=_abd_deployment,
+    deployment=_ares("abd"),
     schedule=lambda d: Schedule([
         During(4, 45, Drop(0.4, dst=("s4",)), Duplicate(0.25), Reorder(1.5)),
     ]),
@@ -636,7 +635,7 @@ register_scenario(ChaosScenario(
     name="treas_crash_server",
     description="TREAS [6,4] loses its tolerated server (f = 1) mid-traffic",
     dap="treas", faults=("crash",),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([At(10, Crash("s5"))]),
     workload=_WORKLOAD,
 ))
@@ -645,7 +644,7 @@ register_scenario(ChaosScenario(
     name="treas_crash_restart",
     description="TREAS server crash-recovers with stable storage, then another crashes",
     dap="treas", faults=("crash", "restart"),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([
         At(8, Crash("s5")), At(24, Restart("s5")), At(34, Crash("s4")),
     ]),
@@ -656,7 +655,7 @@ register_scenario(ChaosScenario(
     name="treas_partition_heal",
     description="TREAS [6,4] with one server partitioned away, then healed",
     dap="treas", faults=("partition",),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([During(8, 40, Isolate("s5"))]),
     workload=_WORKLOAD,
 ))
@@ -665,7 +664,7 @@ register_scenario(ChaosScenario(
     name="treas_reconfig_partition",
     description="TREAS reconfiguration storm with a server isolated during the storm",
     dap="treas", faults=("reconfig", "partition"),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([During(10, 30, Isolate("s5"))]),
     workload=_WORKLOAD,
     num_reconfigs=2, reconfig_cadence=7.0, fresh_servers=6,
@@ -678,7 +677,7 @@ register_scenario(ChaosScenario(
     name="treas_gray_failure",
     description="TREAS with a limping (gray) server, global latency spike and duplication",
     dap="treas", faults=("gray", "duplicate", "reorder"),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([
         During(5, 55, SlowServer("s0", factor=4.0), LatencySpike(1.5)),
         During(5, 55, Duplicate(0.3), Reorder(2.0)),
@@ -690,7 +689,7 @@ register_scenario(ChaosScenario(
     name="ldr_crash_replica",
     description="LDR loses one replica and one directory (both within tolerance)",
     dap="ldr", faults=("crash",),
-    deployment=_ldr_deployment,
+    deployment=_ares("ldr"),
     schedule=lambda d: Schedule([At(9, Crash("s5")), At(22, Crash("s0"))]),
     workload=_WORKLOAD,
 ))
@@ -699,7 +698,7 @@ register_scenario(ChaosScenario(
     name="ldr_partition_directory",
     description="LDR with one directory server partitioned away, then healed",
     dap="ldr", faults=("partition",),
-    deployment=_ldr_deployment,
+    deployment=_ares("ldr"),
     schedule=lambda d: Schedule([During(7, 36, Isolate("s2"))]),
     workload=_WORKLOAD,
 ))
@@ -708,7 +707,7 @@ register_scenario(ChaosScenario(
     name="ldr_reconfig_crash",
     description="LDR reconfigures onto fresh servers while an old replica crashes",
     dap="ldr", faults=("reconfig", "crash"),
-    deployment=_ldr_deployment,
+    deployment=_ares("ldr"),
     schedule=lambda d: Schedule([At(16, Crash("s4"))]),
     workload=_WORKLOAD,
     num_reconfigs=2, reconfig_cadence=7.0, fresh_servers=6,
@@ -723,7 +722,7 @@ register_scenario(ChaosScenario(
     description=("Kitchen sink: TREAS->ABD->TREAS reconfiguration chain under a "
                  "partition window, a crash, a gray server and message chaos"),
     dap="treas", faults=("reconfig", "partition", "crash", "gray", "duplicate", "reorder"),
-    deployment=_treas_deployment,
+    deployment=_ares("treas"),
     schedule=lambda d: Schedule([
         During(9, 26, Isolate("s5")),
         At(32, Crash("s4")),
@@ -741,29 +740,8 @@ register_scenario(ChaosScenario(
 # Sharded multi-object deployments: every operation addresses a named key,
 # keys hash onto shards with per-shard DAP kinds, and verification runs per
 # key (ChaosRunResult.check switches automatically on keyed histories).
-# Victim choices stay inside each *shard's* tolerance envelope: an ABD-5
-# shard tolerates 2 lost servers, a TREAS [6, 4] shard 1, an LDR 3+3 shard
-# 1 directory plus 1 replica.
-
-def _store_mixed_deployment(seed: int) -> StoreDeployment:
-    """Three shards, one per DAP kind: ABD-5 + TREAS [6,4] + LDR 3+3."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="treas", num_servers=6, k=4, delta=8),
-                ShardSpec(dap="ldr", num_servers=6)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
-
-
-def _store_abd_deployment(seed: int) -> StoreDeployment:
-    """Three uniform ABD-5 shards (each tolerates 2 crashed servers)."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="abd", num_servers=5)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
-
+# Victim choices stay inside each *shard's* tolerance envelope (the shapes
+# of ``_SHAPES``).
 
 def _hot_shard_crashes(deployment: StoreDeployment) -> Schedule:
     """Crash two servers of the hot key's shard (ABD-5: both tolerated).
@@ -781,7 +759,7 @@ register_scenario(ChaosScenario(
     description=("Sharded store with ABD+TREAS+LDR shards under batched "
                  "keyed traffic, duplication/reordering and an ABD-shard crash"),
     dap="store", faults=("crash", "duplicate", "reorder"),
-    deployment=_store_mixed_deployment,
+    deployment=_store("abd", "treas", "ldr"),
     schedule=lambda d: Schedule([
         During(4, 45, Duplicate(0.25), Reorder(1.5)),
         At(12, Crash("s2")),
@@ -796,7 +774,7 @@ register_scenario(ChaosScenario(
     description=("Zipf hot-key store traffic while the hot key's shard "
                  "loses both tolerated servers"),
     dap="store", faults=("crash",),
-    deployment=_store_abd_deployment,
+    deployment=_store("abd", "abd", "abd"),
     schedule=_hot_shard_crashes,
     workload=WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
                           value_size=256, think_time=2.0,
@@ -808,24 +786,11 @@ register_scenario(ChaosScenario(
     description=("Sharded ABD+TREAS store with one server of every shard "
                  "partitioned away, then healed"),
     dap="store", faults=("partition",),
-    deployment=lambda seed: StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="abd", num_servers=5),
-                ShardSpec(dap="treas", num_servers=6, k=4, delta=8)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed)),
+    deployment=_store("abd", "treas"),
     schedule=lambda d: Schedule([During(6, 36, Isolate("s4", "s10"))]),
     workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                           value_size=256, think_time=2.0, num_keys=10),
 ))
-
-
-def _dap_flip_store(seed: int) -> StoreDeployment:
-    """Two shards: TREAS [6,4] (s0-s5) + ABD-5 (s6-s10)."""
-    return StoreDeployment(StoreSpec(
-        shards=(ShardSpec(dap="treas", num_servers=6, k=4, delta=8),
-                ShardSpec(dap="abd", num_servers=5)),
-        num_writers=2, num_readers=2,
-        latency=UniformLatency(1.0, 2.0), seed=seed))
 
 
 def _dap_flip_schedule(deployment: StoreDeployment) -> Schedule:
@@ -869,7 +834,7 @@ register_scenario(ChaosScenario(
     description=("Sharded ABD+TREAS+LDR store live-migrating two shards onto "
                  "fresh servers (TREAS shard flips to ABD) under packet chaos"),
     dap="store", faults=("reconfig", "duplicate", "reorder"),
-    deployment=_store_mixed_deployment,
+    deployment=_store("abd", "treas", "ldr"),
     schedule=lambda d: Schedule([During(4, 45, Duplicate(0.25), Reorder(1.5))]),
     workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                           value_size=256, think_time=2.0, num_keys=10),
@@ -882,7 +847,7 @@ register_scenario(ChaosScenario(
     description=("Store shard flips TREAS->ABD in place while one server of "
                  "the other shard is partitioned away and an old server crashes"),
     dap="store", faults=("reconfig", "partition", "crash"),
-    deployment=_dap_flip_store,
+    deployment=_store("treas", "abd"),
     schedule=_dap_flip_schedule,
     workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                           value_size=256, think_time=2.0,
@@ -894,7 +859,7 @@ register_scenario(ChaosScenario(
     description=("Zipf hot-key traffic while the hot key range is rebalanced "
                  "onto another shard and a server of the old shard crashes"),
     dap="store", faults=("reconfig", "crash"),
-    deployment=_store_abd_deployment,
+    deployment=_store("abd", "abd", "abd"),
     schedule=_rebalance_schedule,
     workload=WorkloadSpec(operations_per_writer=4, operations_per_reader=4,
                           value_size=256, think_time=2.0,
@@ -922,7 +887,7 @@ register_scenario(ChaosScenario(
                  "state is reclaimed behind tombstones while stale clients "
                  "and a crash keep hitting the retired configurations"),
     dap="store", faults=("reconfig", "crash"),
-    deployment=_store_abd_deployment,
+    deployment=_store("abd", "abd", "abd"),
     schedule=_store_gc_crash,
     workload=WorkloadSpec(operations_per_writer=3, operations_per_reader=3,
                           value_size=256, think_time=2.0, num_keys=10),
@@ -940,8 +905,7 @@ register_scenario(ChaosScenario(
 # "fault_rate=0.0..0.5"`` maps each DAP's maximum survivable rate.  Retry
 # stays on at every rate so the axis compares like with like; note that
 # enabling retry changes the event sequence (per-attempt timeout timers), so
-# these deployments are distinct factories rather than reusing the quiet
-# ones.
+# these deployments are never byte-identical to the quiet ones.
 
 #: Retry/backoff used by the gray scenarios: bounded attempts, exponential
 #: backoff, seeded jitter (see RetryPolicy for the exact schedule).  The
@@ -952,30 +916,6 @@ register_scenario(ChaosScenario(
 #: frontier on all three DAPs over the 1/64-quantized rate grid).
 GRAY_RETRY = RetryPolicy(attempts=9, timeout=30.0, base_delay=2.0,
                          multiplier=2.0, jitter=0.5)
-
-
-def _abd_gray_deployment(seed: int) -> AresDeployment:
-    """ABD-5 with retrying clients (majority quorums shrug off refusals)."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=5, initial_dap="abd", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-        retry=GRAY_RETRY))
-
-
-def _treas_gray_deployment(seed: int) -> AresDeployment:
-    """TREAS [6, 4] with retrying clients (quorum 5-of-6: loss-sensitive)."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="treas", k=4, delta=8, num_writers=2,
-        num_readers=2, num_reconfigurers=1,
-        latency=UniformLatency(1.0, 2.0), seed=seed, retry=GRAY_RETRY))
-
-
-def _ldr_gray_deployment(seed: int) -> AresDeployment:
-    """LDR 3+3 with retrying clients."""
-    return AresDeployment(DeploymentSpec(
-        num_servers=6, initial_dap="ldr", num_writers=2, num_readers=2,
-        num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=seed,
-        retry=GRAY_RETRY))
 
 
 def _gray_background(*resource_faults):
@@ -1003,7 +943,7 @@ register_scenario(ChaosScenario(
     description=("ABD-5 under continuous stochastic packet loss, a disk-full "
                  "server and a CPU-pressured server, with client retry/backoff"),
     dap="abd", faults=("gray", "drop", "resource"),
-    deployment=_abd_gray_deployment,
+    deployment=_ares("abd", retry=GRAY_RETRY),
     schedule=lambda d: Schedule([At(30, Crash("s2"))]),
     workload=_WORKLOAD,
     fault_rate=0.02,
@@ -1022,7 +962,7 @@ register_scenario(ChaosScenario(
     description=("TREAS [6,4] under continuous stochastic packet loss and a "
                  "disk-full, CPU-pressured server, with client retry/backoff"),
     dap="treas", faults=("gray", "drop", "resource"),
-    deployment=_treas_gray_deployment,
+    deployment=_ares("treas", retry=GRAY_RETRY),
     schedule=lambda d: Schedule([During(10, 26, SlowServer("s0", factor=3.0))]),
     workload=_WORKLOAD,
     fault_rate=0.02,
@@ -1042,7 +982,7 @@ register_scenario(ChaosScenario(
                  "memory-bounded replica and a CPU-pressured directory, with "
                  "client retry/backoff"),
     dap="ldr", faults=("gray", "drop", "resource"),
-    deployment=_ldr_gray_deployment,
+    deployment=_ares("ldr", retry=GRAY_RETRY),
     schedule=lambda d: Schedule([During(12, 28, LatencySpike(1.5))]),
     workload=_WORKLOAD,
     fault_rate=0.02,

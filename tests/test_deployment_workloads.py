@@ -9,6 +9,7 @@ from repro.common.ids import server_id
 from repro.common.values import Value
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.spec.linearizability import check_linearizability
+from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.workloads.generator import ClosedLoopDriver, WorkloadSpec
 from repro.workloads.scenarios import (
     mixed_scenario,
@@ -31,16 +32,31 @@ class TestDeploymentBuilder:
         assert len(dep.servers) == 7
         assert dep.initial_configuration.dap.value == "abd"
 
-    def test_spec_and_overrides_are_mutually_exclusive(self):
+    @pytest.mark.parametrize("deployment_class, spec_class",
+                             [(AresDeployment, DeploymentSpec), (StoreDeployment, StoreSpec)],
+                             ids=["AresDeployment", "StoreDeployment"])
+    def test_spec_and_overrides_are_mutually_exclusive(self, deployment_class, spec_class):
         with pytest.raises(ConfigurationError):
-            AresDeployment(DeploymentSpec(), num_servers=3)
+            deployment_class(spec_class(), num_writers=3)
 
-    def test_add_servers_extends_pool(self):
-        dep = AresDeployment(num_servers=4)
+    @pytest.mark.parametrize("build, first_fresh", [
+        (lambda: AresDeployment(num_servers=4), 4),
+        (lambda: StoreDeployment(shards=(ShardSpec(dap="abd", num_servers=5),
+                                         ShardSpec(dap="treas", num_servers=6, k=4))), 11),
+    ], ids=["AresDeployment", "StoreDeployment"])
+    def test_add_servers_extends_pool(self, build, first_fresh):
+        dep = build()
         added = dep.add_servers(3)
-        assert len(added) == 3
-        assert len(dep.servers) == 7
-        assert added[0] == server_id(4)
+        assert added == [server_id(first_fresh + i) for i in range(3)]
+        assert len(dep.servers) == first_fresh + 3
+
+    def test_add_servers_continues_past_migration_recruits(self):
+        store = StoreDeployment(shards=(ShardSpec(dap="abd", num_servers=5),
+                                        ShardSpec(dap="treas", num_servers=6, k=4)))
+        store.put("k1", Value.of_size(64, label="l1"))
+        store.migrate_shard(0, fresh_servers=5)
+        assert store.shard_map.shards[0].servers == tuple(server_id(11 + i) for i in range(5))
+        assert store.add_servers(2) == [server_id(16), server_id(17)]
 
     def test_make_configuration_with_existing_servers(self):
         dep = AresDeployment(num_servers=6)

@@ -5,7 +5,7 @@ scenario registry; this suite fails whenever the committed file drifts from
 the code (regenerate with ``python -m repro.workloads --list-scenarios
 --markdown --output docs/SCENARIOS.md``).  The offline Markdown link
 checker from ``tools/check_links.py`` also runs here so broken
-cross-references fail the tier-1 matrix, not just the CI docs job.
+cross-references fail the tier-1 matrix.
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.ids import server_id
+from repro.common.tags import Tag
 from repro.common.values import Value
 from repro.net.latency import UniformLatency
 from repro.registers.static import StaticRegisterDeployment
@@ -34,6 +35,12 @@ class TestSequentialSemantics:
         dep.write(Value.of_size(64, label="second"), 1)
         dep.write(Value.of_size(64, label="third"), 0)
         assert dep.read(0).label == "third"
+
+    def test_write_returns_its_tag(self, kind):
+        dep = DEPLOYMENT_BUILDERS[kind](num_writers=1, num_readers=1, seed=5)
+        tag = dep.write(Value.of_size(16, label="x"), 0)
+        assert isinstance(tag, Tag)
+        assert dep.history.operations()[-1].tag == tag
 
     def test_initial_read_returns_initial_value(self, kind):
         dep = DEPLOYMENT_BUILDERS[kind](num_writers=1, num_readers=1, seed=3)

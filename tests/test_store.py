@@ -386,15 +386,15 @@ class TestStoreAccounting:
         store = mixed_store()
         store.put("k1", Value.of_size(64, label="l1"))
         shard = store.shard_map.shard_for("k1")
-        hosting = [pid for pid in shard.servers
-                   if "k1" in store.servers[pid].hosted_keys()]
+
+        def hosts_k1(pid):
+            return any(store.shard_map.key_of(cfg_id) == "k1"
+                       for cfg_id in store.servers[pid].dap_states)
+
+        hosting = [pid for pid in shard.servers if hosts_k1(pid)]
         assert hosting, "no server of the key's shard hosts it"
         for other in store.shard_map.shards:
             if other.index == shard.index:
                 continue
             for pid in other.servers:
-                assert "k1" not in store.servers[pid].hosted_keys()
-
-    def test_spec_or_overrides_not_both(self):
-        with pytest.raises(ConfigurationError):
-            StoreDeployment(StoreSpec(), num_writers=3)
+                assert not hosts_k1(pid)

@@ -17,8 +17,7 @@ printed).  Run from anywhere::
 
     python tools/check_links.py
 
-Used by the CI docs job and wrapped by ``tests/test_docs.py`` so the check
-also runs in the tier-1 matrix.
+Wrapped by ``tests/test_docs.py``, so the check runs in the tier-1 matrix.
 """
 
 from __future__ import annotations
