@@ -31,12 +31,11 @@ def measure_treas(n: int, k: int, delta: int):
                                                 latency=FixedLatency(1.0))
     write_cost = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
-        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0),
-        value_size=VALUE_SIZE, name="write")
+        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0))
     read_cost = measure_operation_traffic(
         deployment, deployment.readers[0].pid,
-        lambda: deployment.read(0), value_size=VALUE_SIZE, name="read")
-    return write_cost.normalised, read_cost.normalised
+        lambda: deployment.read(0))
+    return write_cost.normalised(VALUE_SIZE), read_cost.normalised(VALUE_SIZE)
 
 
 def measure_abd(n: int):
@@ -44,12 +43,11 @@ def measure_abd(n: int):
                                               latency=FixedLatency(1.0))
     write_cost = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
-        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0),
-        value_size=VALUE_SIZE, name="write")
+        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="x"), 0))
     read_cost = measure_operation_traffic(
         deployment, deployment.readers[0].pid,
-        lambda: deployment.read(0), value_size=VALUE_SIZE, name="read")
-    return write_cost.normalised, read_cost.normalised
+        lambda: deployment.read(0))
+    return write_cost.normalised(VALUE_SIZE), read_cost.normalised(VALUE_SIZE)
 
 
 @pytest.mark.experiment("E2")

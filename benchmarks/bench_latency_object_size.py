@@ -35,11 +35,10 @@ def run_one(kind: str, value_size: int, seed: int = 0):
             latency=UniformLatency(1.0, 2.0), seed=seed)
     write_traffic = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
-        lambda: deployment.write(Value.of_size(value_size, label="x"), 0),
-        value_size=value_size, name="write")
+        lambda: deployment.write(Value.of_size(value_size, label="x"), 0))
     read_traffic = measure_operation_traffic(
         deployment, deployment.readers[0].pid,
-        lambda: deployment.read(0), value_size=value_size, name="read")
+        lambda: deployment.read(0))
     write_latency = deployment.history.writes()[-1].latency
     read_latency = deployment.history.reads()[-1].latency
     return write_latency, read_latency, write_traffic.data_bytes, read_traffic.data_bytes

@@ -40,13 +40,12 @@ def measure(kind: str):
             num_servers=N, num_writers=1, num_readers=1, latency=FixedLatency(1.0))
     write = measure_operation_traffic(
         deployment, deployment.writers[0].pid,
-        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="object"), 0),
-        value_size=VALUE_SIZE, name="write")
+        lambda: deployment.write(Value.of_size(VALUE_SIZE, label="object"), 0))
     read = measure_operation_traffic(
         deployment, deployment.readers[0].pid,
-        lambda: deployment.read(0), value_size=VALUE_SIZE, name="read")
+        lambda: deployment.read(0))
     storage = deployment.total_storage_data_bytes() / VALUE_SIZE
-    return write.normalised, read.normalised, storage
+    return write.normalised(VALUE_SIZE), read.normalised(VALUE_SIZE), storage
 
 
 def main() -> None:

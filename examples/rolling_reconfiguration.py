@@ -41,6 +41,7 @@ def run(direct_state_transfer: bool):
         num_reconfigurers=1, latency=UniformLatency(1.0, 2.0), seed=11,
         direct_state_transfer=direct_state_transfer))
     reconfigurer = deployment.reconfigurers[0]
+    reconfigurer_traffic = deployment.stats.open_scope(reconfigurer.pid)
 
     def rolling_upgrade():
         for dap, fresh, k in UPGRADE_PLAN:
@@ -54,7 +55,8 @@ def run(direct_state_transfer: bool):
         value_size=OBJECT_SIZE, think_time=3.0))
     result = workload.run()
 
-    reconfigurer_bytes = deployment.stats.to_and_from(reconfigurer.pid).data_bytes
+    reconfigurer_bytes = deployment.stats.close_scope(
+        reconfigurer.pid, reconfigurer_traffic).data_bytes
     return deployment, result, reconfigurer_bytes
 
 

@@ -18,8 +18,7 @@ pushes the value back to ``n`` servers in the propagation phase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.net.stats import TrafficRecord
 
@@ -57,44 +56,19 @@ def abd_read_cost(n: int) -> float:
 
 
 # ----------------------------------------------------------------- measuring
-@dataclass
-class MeasuredCost:
-    """A measured per-operation communication cost."""
-
-    record: TrafficRecord
-    value_size: int
-
-    @property
-    def normalised(self) -> float:
-        """Data bytes divided by the value size (the paper's unit)."""
-        if self.value_size <= 0:
-            return 0.0
-        return self.record.data_bytes / self.value_size
-
-    @property
-    def data_bytes(self) -> int:
-        """Raw object-data bytes on the wire for the operation."""
-        return self.record.data_bytes
-
-    @property
-    def metadata_bytes(self) -> int:
-        """Raw metadata bytes on the wire for the operation."""
-        return self.record.metadata_bytes
-
-
-def measure_operation_traffic(deployment, client_pid, run_operation: Callable[[], None],
-                              value_size: int, name: str = "operation") -> MeasuredCost:
+def measure_operation_traffic(deployment, client_pid,
+                              run_operation: Callable[[], None]) -> TrafficRecord:
     """Measure the traffic attributable to one synchronously-run operation.
 
     Opens a traffic scope charging all messages to/from ``client_pid``, runs
     ``run_operation`` (which must drive the deployment's simulator to
-    completion of exactly one operation), closes the scope and returns the
-    measured cost.
+    completion of exactly one operation), closes the scope and returns its
+    record; ``.normalised(value_size)`` gives the cost in the paper's units.
     """
     stats = deployment.network.stats
-    scope = stats.open_scope(name, client_pid)
+    scope = stats.open_scope(client_pid)
     try:
         run_operation()
     finally:
-        record = stats.close_scope(scope)
-    return MeasuredCost(record=record, value_size=value_size)
+        stats.close_scope(client_pid, scope)
+    return scope

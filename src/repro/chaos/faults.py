@@ -74,7 +74,11 @@ class Fault:
         raise NotImplementedError
 
     def stop(self, engine: "ChaosEngine") -> None:
-        """Deactivate the fault (remove installed hooks).  Point faults ignore it."""
+        """Deactivate the fault: remove its activation's hooks.
+
+        Point faults install no hooks, so for them this is a no-op.
+        """
+        engine.remove_hooks(self)
 
 
 # --------------------------------------------------------------------- crash
@@ -152,9 +156,6 @@ class Partition(Fault):
         engine.install_drop_filter(
             self, lambda src, dest, message: side(src) != side(dest))
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Isolate(Fault):
@@ -178,9 +179,6 @@ class Isolate(Fault):
         island = engine.resolve_all(self.targets)
         engine.install_drop_filter(
             self, lambda src, dest, message: (src in island) != (dest in island))
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,9 +276,6 @@ class Drop(Fault):
 
         engine.install_drop_filter(self, rule)
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Duplicate(Fault):
@@ -311,9 +306,6 @@ class Duplicate(Fault):
 
         engine.install_duplicator(self, rule)
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class Reorder(Fault):
@@ -338,9 +330,6 @@ class Reorder(Fault):
         engine.install_delay_adjuster(
             self, lambda src, dest, message, delay: delay + engine.rng.uniform(0.0, self.jitter))
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class LatencySpike(Fault):
@@ -364,9 +353,6 @@ class LatencySpike(Fault):
     def start(self, engine: "ChaosEngine") -> None:
         engine.install_delay_adjuster(
             self, lambda src, dest, message, delay: delay * self.factor + self.extra)
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,9 +387,6 @@ class SlowServer(Fault):
             return delay
 
         engine.install_delay_adjuster(self, adjust)
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
 
 
 # --------------------------------------------------------- resource pressure
@@ -456,9 +439,6 @@ class CpuPressure(Fault):
 
         engine.install_delay_adjuster(self, adjust)
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class MemoryPressure(Fault):
@@ -493,9 +473,6 @@ class MemoryPressure(Fault):
                 self, ensure_governor(server, engine),
                 memory_budget_rule(self.budget_bytes))
 
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
-
 
 @dataclass(frozen=True, eq=False)
 class DiskFull(Fault):
@@ -523,9 +500,6 @@ class DiskFull(Fault):
             server = engine.network.process(pid)
             engine.install_governor_rule(
                 self, ensure_governor(server, engine), disk_full_rule())
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,6 +538,3 @@ class QueueExhaustion(Fault):
             engine.install_governor_rule(
                 self, ensure_governor(server, engine),
                 queue_limit_rule(self.limit, self.service_time))
-
-    def stop(self, engine: "ChaosEngine") -> None:
-        engine.remove_hooks(self)

@@ -1,10 +1,13 @@
 """Traffic accounting.
 
-The communication-cost experiments (E2, E7) need to attribute bytes on the
-wire to individual operations.  The network reports every delivered message
-to a :class:`TrafficStats` instance; protocol code can open *accounting
-scopes* (one per client operation) so that all traffic generated while an
-operation is in flight is attributed to it.
+The network reports every message copy it puts on the wire to a
+:class:`TrafficStats` instance, which keeps one table: a
+:class:`TrafficRecord` per message kind.  Network-wide totals are derived
+from that table rather than kept alongside it.
+
+Per-process attribution is a *scope*: the communication-cost experiments
+(E2, E7) open one around a measured interval, and every message whose sender
+or receiver is the scope's owner is charged to it once while it is open.
 
 Two figures are kept for every record, mirroring the paper's cost model:
 
@@ -18,8 +21,8 @@ Two figures are kept for every record, mirroring the paper's cost model:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.common.ids import ProcessId
 
@@ -32,12 +35,6 @@ class TrafficRecord:
     data_bytes: int = 0
     metadata_bytes: int = 0
 
-    def add(self, data_bytes: int, metadata_bytes: int) -> None:
-        """Accumulate one message."""
-        self.messages += 1
-        self.data_bytes += data_bytes
-        self.metadata_bytes += metadata_bytes
-
     @property
     def total_bytes(self) -> int:
         """Data plus metadata bytes."""
@@ -49,128 +46,73 @@ class TrafficRecord:
             return 0.0
         return self.data_bytes / value_size
 
-    def __add__(self, other: "TrafficRecord") -> "TrafficRecord":
-        return TrafficRecord(
-            messages=self.messages + other.messages,
-            data_bytes=self.data_bytes + other.data_bytes,
-            metadata_bytes=self.metadata_bytes + other.metadata_bytes,
-        )
-
-
-@dataclass
-class OperationScope:
-    """An open accounting scope attributed to one client operation."""
-
-    name: str
-    owner: ProcessId
-    record: TrafficRecord = field(default_factory=TrafficRecord)
-    open: bool = True
-
 
 class TrafficStats:
-    """Network-wide traffic accounting.
+    """Network-wide traffic accounting: one per-kind table plus open scopes.
 
-    The global counters are always maintained.  Per-operation attribution
-    works by scope: :meth:`open_scope` returns a handle; every message whose
-    *sender or receiver* is the scope owner is charged to the scope while it
-    is open.  Scopes are cheap, and multiple concurrent scopes (one per
-    in-flight operation of different clients) are supported.
+    :meth:`open_scope` returns a fresh :class:`TrafficRecord` that is charged
+    once for every message sent or received by its owner until
+    :meth:`close_scope`.  Several scopes may be open at once, for the same
+    owner or for different ones.
     """
 
     def __init__(self) -> None:
-        self.global_record = TrafficRecord()
         self.per_kind: Dict[str, TrafficRecord] = {}
-        self.per_link: Dict[Tuple[ProcessId, ProcessId], TrafficRecord] = {}
-        self._scopes: List[OperationScope] = []
-        self._per_process_scopes: Dict[ProcessId, List[OperationScope]] = {}
+        # Open scopes by owner; an owner's entry goes when its last scope
+        # closes, so with no scope open ``record`` skips the scope loop.
+        self._scopes: Dict[ProcessId, List[TrafficRecord]] = {}
 
     # -------------------------------------------------------------- recording
     def record(self, src: ProcessId, dest: ProcessId, kind: str,
                data_bytes: int, metadata_bytes: int) -> None:
-        """Record one delivered message.
+        """Record one message copy on the wire.
 
-        Called once per message on the wire (the network's hottest path), so
-        the counter updates are inlined rather than routed through
-        :meth:`TrafficRecord.add`, and the ``setdefault``-with-fresh-record
-        idiom is avoided -- it would allocate a throwaway
-        :class:`TrafficRecord` per call.
+        Called once per copy (the network's hottest path), so the counter
+        updates are inlined, and the ``setdefault``-with-fresh-record idiom
+        is avoided -- it would allocate a throwaway :class:`TrafficRecord`
+        per call.
         """
-        record = self.global_record
-        record.messages += 1
-        record.data_bytes += data_bytes
-        record.metadata_bytes += metadata_bytes
         record = self.per_kind.get(kind)
         if record is None:
             record = self.per_kind[kind] = TrafficRecord()
         record.messages += 1
         record.data_bytes += data_bytes
         record.metadata_bytes += metadata_bytes
-        link = (src, dest)
-        record = self.per_link.get(link)
-        if record is None:
-            record = self.per_link[link] = TrafficRecord()
-        record.messages += 1
-        record.data_bytes += data_bytes
-        record.metadata_bytes += metadata_bytes
-        scopes = self._per_process_scopes
+        scopes = self._scopes
         if scopes:
-            for owner in (src, dest):
+            for owner in ((src,) if src == dest else (src, dest)):
                 for scope in scopes.get(owner, ()):
-                    if scope.open:
-                        scope.record.add(data_bytes, metadata_bytes)
+                    scope.messages += 1
+                    scope.data_bytes += data_bytes
+                    scope.metadata_bytes += metadata_bytes
 
     # ---------------------------------------------------------------- scopes
-    def open_scope(self, name: str, owner: ProcessId) -> OperationScope:
-        """Open an accounting scope charging traffic to/from ``owner``."""
-        scope = OperationScope(name=name, owner=owner)
-        self._scopes.append(scope)
-        self._per_process_scopes.setdefault(owner, []).append(scope)
+    def open_scope(self, owner: ProcessId) -> TrafficRecord:
+        """Open a scope charging traffic to/from ``owner``; return its record."""
+        scope = TrafficRecord()
+        self._scopes.setdefault(owner, []).append(scope)
         return scope
 
-    def close_scope(self, scope: OperationScope) -> TrafficRecord:
-        """Close the scope and return its accumulated record."""
-        scope.open = False
-        owner_scopes = self._per_process_scopes.get(scope.owner, [])
-        if scope in owner_scopes:
-            owner_scopes.remove(scope)
-        return scope.record
+    def close_scope(self, owner: ProcessId, scope: TrafficRecord) -> TrafficRecord:
+        """Stop charging ``scope`` (opened for ``owner``) and return it."""
+        owned = self._scopes[owner]
+        # By identity: records with equal counts compare equal.
+        owned[:] = [open_scope for open_scope in owned if open_scope is not scope]
+        if not owned:
+            del self._scopes[owner]
+        return scope
 
     # --------------------------------------------------------------- queries
+    @property
+    def global_record(self) -> TrafficRecord:
+        """Totals over every message copy on the wire (summed per kind)."""
+        records = self.per_kind.values()
+        return TrafficRecord(
+            messages=sum(record.messages for record in records),
+            data_bytes=sum(record.data_bytes for record in records),
+            metadata_bytes=sum(record.metadata_bytes for record in records),
+        )
+
     def by_kind(self, kind: str) -> TrafficRecord:
         """Traffic for one message kind (e.g. ``"PUT-DATA"``)."""
         return self.per_kind.get(kind, TrafficRecord())
-
-    def link(self, src: ProcessId, dest: ProcessId) -> TrafficRecord:
-        """Traffic on one directed link."""
-        return self.per_link.get((src, dest), TrafficRecord())
-
-    def to_and_from(self, pid: ProcessId) -> TrafficRecord:
-        """All traffic sent or received by ``pid``."""
-        total = TrafficRecord()
-        for (src, dest), record in self.per_link.items():
-            if src == pid or dest == pid:
-                total = total + record
-        return total
-
-    def reset(self) -> None:
-        """Zero all counters (open scopes are preserved but also reset)."""
-        self.global_record = TrafficRecord()
-        self.per_kind.clear()
-        self.per_link.clear()
-        for scope in self._scopes:
-            scope.record = TrafficRecord()
-
-    def summary(self) -> str:
-        """Human-readable multi-line summary (used by examples)."""
-        lines = [
-            f"messages:       {self.global_record.messages}",
-            f"data bytes:     {self.global_record.data_bytes}",
-            f"metadata bytes: {self.global_record.metadata_bytes}",
-            "per message kind:",
-        ]
-        for kind in sorted(self.per_kind):
-            record = self.per_kind[kind]
-            lines.append(
-                f"  {kind:<22} {record.messages:>8} msgs  {record.data_bytes:>12} data B"
-            )
-        return "\n".join(lines)

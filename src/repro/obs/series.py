@@ -56,8 +56,8 @@ _WINDOW_RESERVOIR = 128
 def nearest_rank(ordered: Sequence[float], q: float) -> float:
     """Nearest-rank quantile of an ascending-sorted sequence.
 
-    Mirrors the sweep layer's ``latency_summary`` convention: the q-th
-    quantile is the value at rank ``ceil(q * n)`` (1-based).  Edge cases are
+    The sweep layer's ``latency_summary`` uses it too: the q-th quantile is
+    the value at rank ``ceil(q * n)`` (1-based).  Edge cases are
     explicit: an empty sequence yields ``0.0``, a single sample yields that
     sample, and an all-equal sequence yields the common value for every q.
     """

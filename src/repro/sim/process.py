@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, TYPE_CHECKING
+from typing import (Any, Callable, Collection, Dict, Generator, Iterable, List, Optional,
+                    TYPE_CHECKING)
 
 from repro.common.errors import (
     QuorumRefusedError,
@@ -284,27 +285,42 @@ class Process:
         label: str,
     ) -> "tuple[int, QuorumFuture]":
         """One broadcast attempt under a fresh request id (the retry unit)."""
-        request_id = self.new_request_id()
-        gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder, expected=len(servers))
-        alive = [s for s in servers if not self.network.is_crashed(s)]
-        if len(alive) < threshold:
-            raise QuorumUnavailableError(
-                f"{self.pid}: {label} needs {threshold} replies but only "
-                f"{len(alive)} of {len(servers)} servers are alive"
-            )
-        self._pending_gathers[request_id] = gather
-
-        if self.metrics is None:
-            def cleanup(_fut: SimFuture) -> None:
-                self._pending_gathers.pop(request_id, None)
-
-            gather.add_done_callback(cleanup)
-        else:
-            self._observe_round(gather, request_id, label)
+        request_id, gather = self._open_round(servers, threshold, label)
         for server in servers:
             self.send(server, make_message(request_id))
+        return request_id, gather
+
+    def _open_round(
+        self,
+        destinations: Optional[Collection[ProcessId]],
+        threshold: int,
+        label: str,
+    ) -> "tuple[int, QuorumFuture]":
+        """Register a quorum round's future under a fresh request id.
+
+        With ``destinations`` given the future expects one reply from each,
+        and the round fails fast with :class:`QuorumUnavailableError` when
+        fewer than ``threshold`` of them are alive; ``None`` (replies from
+        elsewhere, see :meth:`open_gather`) skips both.  The caller sends.
+        """
+        request_id = self.new_request_id()
+        gather = QuorumFuture(
+            self.sim, threshold=threshold,
+            label=f"{self.pid}:{label}#{request_id}", distinct_by=_responder,
+            expected=None if destinations is None else len(destinations))
+        if destinations is not None:
+            alive = [s for s in destinations if not self.network.is_crashed(s)]
+            if len(alive) < threshold:
+                raise QuorumUnavailableError(
+                    f"{self.pid}: {label} needs {threshold} replies but only "
+                    f"{len(alive)} of {len(destinations)} servers are alive"
+                )
+        self._pending_gathers[request_id] = gather
+        if self.metrics is None:
+            gather.add_done_callback(
+                lambda _f: self._pending_gathers.pop(request_id, None))
+        else:
+            self._observe_round(gather, request_id, label)
         return request_id, gather
 
     def _observe_round(self, gather: QuorumFuture, request_id: int,
@@ -342,13 +358,7 @@ class Process:
         acks come from the new configuration's servers).  Returns the request
         id to embed in outgoing messages and the future to await.
         """
-        request_id = self.new_request_id()
-        gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder)
-        self._pending_gathers[request_id] = gather
-        gather.add_done_callback(lambda _f: self._pending_gathers.pop(request_id, None))
-        return request_id, gather
+        return self._open_round(None, threshold, label)
 
     def scatter_and_gather(
         self,
@@ -374,22 +384,7 @@ class Process:
         label: str,
     ) -> "tuple[int, QuorumFuture]":
         """One scatter attempt under a fresh request id (the retry unit)."""
-        request_id = self.new_request_id()
-        gather = QuorumFuture(self.sim, threshold=threshold,
-                              label=f"{self.pid}:{label}#{request_id}",
-                              distinct_by=_responder, expected=len(messages))
-        alive = [s for s in messages if not self.network.is_crashed(s)]
-        if len(alive) < threshold:
-            raise QuorumUnavailableError(
-                f"{self.pid}: {label} needs {threshold} replies but only "
-                f"{len(alive)} of {len(messages)} servers are alive"
-            )
-        self._pending_gathers[request_id] = gather
-        if self.metrics is None:
-            gather.add_done_callback(
-                lambda _f: self._pending_gathers.pop(request_id, None))
-        else:
-            self._observe_round(gather, request_id, label)
+        request_id, gather = self._open_round(messages, threshold, label)
         for server, make_message in messages.items():
             self.send(server, make_message(request_id))
         return request_id, gather

@@ -9,11 +9,11 @@ clock.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.obs.series import nearest_rank
 from repro.sweep.grid import format_cell_id
 
 
@@ -27,16 +27,12 @@ def latency_summary(latencies: Sequence[float]) -> Dict[str, float]:
         return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
     ordered = sorted(latencies)
     count = len(ordered)
-
-    def rank(q: float) -> float:
-        return ordered[min(count - 1, max(0, math.ceil(q * count) - 1))]
-
     return {
         "count": count,
         "mean": round(sum(ordered) / count, 6),
-        "p50": round(rank(0.50), 6),
-        "p95": round(rank(0.95), 6),
-        "p99": round(rank(0.99), 6),
+        "p50": round(nearest_rank(ordered, 0.50), 6),
+        "p95": round(nearest_rank(ordered, 0.95), 6),
+        "p99": round(nearest_rank(ordered, 0.99), 6),
         "max": round(ordered[-1], 6),
     }
 

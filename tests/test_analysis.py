@@ -57,9 +57,8 @@ class TestMeasuredCosts:
                                              latency=FixedLatency(1.0))
         cost = measure_operation_traffic(
             dep, dep.writers[0].pid,
-            lambda: dep.write(Value.of_size(value_size, label="x"), 0),
-            value_size=value_size, name="write")
-        assert cost.normalised == pytest.approx(treas_write_cost(n, k), rel=0.01)
+            lambda: dep.write(Value.of_size(value_size, label="x"), 0))
+        assert cost.normalised(value_size) == pytest.approx(treas_write_cost(n, k), rel=0.01)
 
     def test_treas_read_traffic_below_formula_bound(self):
         n, k, delta, value_size = 6, 4, 2, 4000
@@ -68,10 +67,9 @@ class TestMeasuredCosts:
                                              latency=FixedLatency(1.0))
         dep.write(Value.of_size(value_size, label="x"), 0)
         cost = measure_operation_traffic(
-            dep, dep.readers[0].pid, lambda: dep.read(0),
-            value_size=value_size, name="read")
-        assert cost.normalised <= treas_read_cost(n, k, delta) + 0.01
-        assert cost.normalised > 0
+            dep, dep.readers[0].pid, lambda: dep.read(0))
+        assert cost.normalised(value_size) <= treas_read_cost(n, k, delta) + 0.01
+        assert cost.normalised(value_size) > 0
 
     def test_abd_write_traffic_matches_formula(self):
         n, value_size = 5, 2000
@@ -79,9 +77,8 @@ class TestMeasuredCosts:
                                            latency=FixedLatency(1.0))
         cost = measure_operation_traffic(
             dep, dep.writers[0].pid,
-            lambda: dep.write(Value.of_size(value_size, label="x"), 0),
-            value_size=value_size, name="write")
-        assert cost.normalised == pytest.approx(abd_write_cost(n), rel=0.01)
+            lambda: dep.write(Value.of_size(value_size, label="x"), 0))
+        assert cost.normalised(value_size) == pytest.approx(abd_write_cost(n), rel=0.01)
 
     def test_abd_read_traffic_below_formula_bound(self):
         n, value_size = 5, 2000
@@ -89,10 +86,9 @@ class TestMeasuredCosts:
                                            latency=FixedLatency(1.0))
         dep.write(Value.of_size(value_size, label="x"), 0)
         cost = measure_operation_traffic(
-            dep, dep.readers[0].pid, lambda: dep.read(0),
-            value_size=value_size, name="read")
-        assert cost.normalised <= abd_read_cost(n) + 0.01
-        assert cost.normalised >= n  # query replies alone carry n copies
+            dep, dep.readers[0].pid, lambda: dep.read(0))
+        assert cost.normalised(value_size) <= abd_read_cost(n) + 0.01
+        assert cost.normalised(value_size) >= n  # query replies alone carry n copies
 
     def test_storage_measurement_matches_theorem3(self):
         n, k, delta, value_size = 6, 4, 2, 4000

@@ -15,6 +15,7 @@ from repro.core.ares_treas import (
 )
 from repro.core.deployment import AresDeployment, DeploymentSpec
 from repro.net.latency import UniformLatency
+from repro.obs import install_metrics
 from repro.spec.linearizability import check_linearizability
 
 
@@ -63,26 +64,26 @@ class TestDirectTransfer:
         value_size = 20_000
         dep.write(Value.of_size(value_size, label="big"), 0)
         reconfigurer = dep.reconfigurers[0]
-        before = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        scope = dep.stats.open_scope(reconfigurer.pid)
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=9, k=5)
         dep.reconfig(new_cfg, 0)
-        after = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        dep.stats.close_scope(reconfigurer.pid, scope)
         # Direct transfer: the reconfigurer exchanges only metadata (tags,
         # config records, acks); it never transports fragments of the object.
-        assert after - before == 0
+        assert scope.data_bytes == 0
 
     def test_baseline_reconfigurer_carries_the_object(self):
         dep = make_deployment(direct=False)
         value_size = 20_000
         dep.write(Value.of_size(value_size, label="big"), 0)
         reconfigurer = dep.reconfigurers[0]
-        before = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        scope = dep.stats.open_scope(reconfigurer.pid)
         new_cfg = dep.make_configuration(dap="treas", fresh_servers=9, k=5)
         dep.reconfig(new_cfg, 0)
-        after = dep.stats.to_and_from(reconfigurer.pid).data_bytes
+        dep.stats.close_scope(reconfigurer.pid, scope)
         # Baseline ARES: the reconfigurer reads at least one full value worth
         # of fragments and writes n'/k' fragments out again.
-        assert after - before >= value_size
+        assert scope.data_bytes >= value_size
 
     def test_transfer_messages_flow_between_server_sets(self):
         dep = make_deployment()
@@ -92,6 +93,15 @@ class TestDirectTransfer:
         assert dep.stats.by_kind(MD_BCAST_REQ_FW).messages > 0
         assert dep.stats.by_kind(FWD_CODE_ELEM).messages > 0
         assert dep.stats.by_kind(TRANSFER_ACK).messages >= new_cfg.quorum_size
+
+    def test_ack_round_is_timed_with_metrics_installed(self):
+        dep = make_deployment()
+        registry = install_metrics(dep)
+        dep.write(Value.of_size(600, label="x"), 0)
+        new_cfg = dep.make_configuration(dap="treas", fresh_servers=6, k=4)
+        dep.reconfig(new_cfg, 0)
+        assert dep.reconfigurers[0].direct_transfers == 1
+        assert registry.histograms["round:forward-code-element"].count == 1
 
     def test_no_transfer_needed_when_object_never_written(self):
         dep = make_deployment()

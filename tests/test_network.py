@@ -300,30 +300,57 @@ class TestTrafficScopes:
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
         other = Collector(reader_id(0), network)
-        scope = network.stats.open_scope("op", a.pid)
+        scope = network.stats.open_scope(a.pid)
         a.send(b.pid, Message(kind="PUT", data_bytes=100))
         other.send(b.pid, Message(kind="PUT", data_bytes=999))
-        record = network.stats.close_scope(scope)
+        record = network.stats.close_scope(a.pid, scope)
+        assert record is scope
         assert record.data_bytes == 100
         # traffic after closing the scope is not charged
         a.send(b.pid, Message(kind="PUT", data_bytes=50))
         assert record.data_bytes == 100
 
-    def test_to_and_from(self, sim):
+    def test_scope_charges_sent_and_received_traffic(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
         b = Collector(server_id(0), network)
+        sender = network.stats.open_scope(a.pid)
+        receiver = network.stats.open_scope(b.pid)
         a.send(b.pid, Message(kind="PUT", data_bytes=10))
         sim.run()
-        assert network.stats.to_and_from(a.pid).data_bytes == 10
-        assert network.stats.to_and_from(b.pid).data_bytes == 10
+        assert sender.data_bytes == 10
+        assert receiver.data_bytes == 10
 
-    def test_summary_mentions_kinds(self, sim):
+    def test_self_addressed_message_charged_once(self, sim):
         network = Network(sim, latency=FixedLatency(1.0))
         a = Collector(writer_id(0), network)
-        Collector(server_id(0), network)
-        a.send(server_id(0), Message(kind="SPECIAL-KIND"))
-        assert "SPECIAL-KIND" in network.stats.summary()
+        scope = network.stats.open_scope(a.pid)
+        a.send(a.pid, Message(kind="PUT", data_bytes=10))
+        network.stats.close_scope(a.pid, scope)
+        assert (scope.messages, scope.data_bytes) == (1, 10)
+        assert network.stats.global_record.messages == 1
+
+    def test_close_scope_leaves_no_entry(self, sim):
+        network = Network(sim, latency=FixedLatency(1.0))
+        a = Collector(writer_id(0), network)
+        b = Collector(server_id(0), network)
+        for _ in range(3):
+            scope = network.stats.open_scope(a.pid)
+            a.send(b.pid, Message(kind="PUT", data_bytes=10))
+            network.stats.close_scope(a.pid, scope)
+        assert network.stats._scopes == {}
+
+    def test_closing_one_of_equal_scopes_keeps_the_other(self, sim):
+        network = Network(sim, latency=FixedLatency(1.0))
+        a = Collector(writer_id(0), network)
+        b = Collector(server_id(0), network)
+        outer = network.stats.open_scope(a.pid)
+        inner = network.stats.open_scope(a.pid)
+        # Both records are still zero, so they compare equal.
+        network.stats.close_scope(a.pid, inner)
+        a.send(b.pid, Message(kind="PUT", data_bytes=10))
+        assert outer.data_bytes == 10
+        assert inner.data_bytes == 0
 
 
 class TestFastPathAndDuplicateAccounting:
@@ -387,8 +414,9 @@ class TestFastPathAndDuplicateAccounting:
         assert network.stats.global_record.messages == 3
         assert network.stats.global_record.data_bytes == 300
         assert network.stats.global_record.metadata_bytes == 48
-        assert network.stats.by_kind("PUT").messages == 3
-        assert network.stats.link(a.pid, b.pid).messages == 3
+        put = network.stats.by_kind("PUT")
+        assert (put.messages, put.data_bytes, put.metadata_bytes) == (3, 300, 48)
+        assert network.stats.global_record == put
 
     def test_dropped_message_still_charged_once(self, sim):
         network, a, b = self._pair(sim)
