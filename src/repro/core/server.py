@@ -24,9 +24,7 @@ configuration's DAP state, its Paxos acceptor state and its ``nextC``
 record, keeping a compact **tombstone**: the finalized successor's record
 plus its absolute GL index.  A client arriving with a stale ``cseq`` asks a
 retired configuration for its ``nextC`` and receives the tombstone as a
-redirect, converging in one hop (the mirror of
-:meth:`repro.store.shardmap.ShardMap.forward`) instead of replaying the
-chain; DAP and consensus traffic for a retired configuration is refused
+redirect, converging in one hop instead of replaying the chain; DAP and consensus traffic for a retired configuration is refused
 with an explicit NACK so quorum gathers fail fast rather than stall.
 """
 

@@ -21,8 +21,8 @@ serves as many registers as its shards hold keys.
   reconfigurers, shared keyed history).
 * :mod:`repro.store.reconfigurer` -- :class:`ShardReconfigurer`: live
   per-shard migrations (new servers and/or DAP kind) and key-range
-  rebalances driving the ARES reconfiguration traversal per object key,
-  versioned through the shard map's config epochs.
+  rebalances driving the ARES reconfiguration traversal per object key;
+  each mutation of the shard map advances its epoch counter.
 
 Store histories are keyed: every operation records the object it touched,
 and verification runs **per key** (each object is an independent atomic
@@ -49,22 +49,18 @@ from repro.store.deployment import StoreDeployment, StoreSpec
 from repro.store.reconfigurer import ShardReconfigurer
 from repro.store.shardmap import (
     SHARD_DAP_KINDS,
-    Placement,
     Shard,
     ShardMap,
     ShardSpec,
-    StaleEpochError,
     shard_index_for,
 )
 
 __all__ = [
     "SHARD_DAP_KINDS",
-    "Placement",
     "Shard",
     "ShardMap",
     "ShardReconfigurer",
     "ShardSpec",
-    "StaleEpochError",
     "StoreClient",
     "StoreDeployment",
     "StoreSpec",

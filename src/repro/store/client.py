@@ -30,7 +30,7 @@ from repro.sim.futures import all_of
 from repro.sim.process import Process
 from repro.spec.history import History
 from repro.spec.properties import DapRecorder
-from repro.store.shardmap import ShardMap, StaleEpochError
+from repro.store.shardmap import ShardMap
 
 
 class StoreClient(Process, RegisterOpsMixin):
@@ -66,37 +66,19 @@ class StoreClient(Process, RegisterOpsMixin):
         self.dap_recorder = dap_recorder
         self._registers: Dict[str, RegisterState] = {}
         self._write_counter = 0
-        #: The shard-map epoch this client last resolved a key against.  The
-        #: map refuses stale-epoch lookups, so a client that fell behind a
-        #: reconfiguration converges through the explicit forwarding path
-        #: (and the count below witnesses that it happened).
-        self.known_epoch = shard_map.epoch
-        #: Number of stale-epoch resolutions this client recovered from.
-        self.forwarded_lookups = 0
 
     # --------------------------------------------------------------- plumbing
     def register_for(self, key: str) -> RegisterState:
         """The per-key state (configuration sequence), created on first use.
 
-        Resolution asserts the client's cached shard-map epoch; when a
-        migration or rebalance advanced the map in the meantime, the client
-        converges via :meth:`~repro.store.shardmap.ShardMap.forward` and
-        re-resolves at the current epoch.  Keys this client already operates
-        on are *not* re-resolved -- their configuration sequences follow
-        reconfigurations through the ARES traversal itself.
+        A new key starts from the shard map's current answer.  Keys this
+        client already operates on are *not* re-resolved -- their
+        configuration sequences follow migrations and rebalances through the
+        ARES traversal itself (``read-config`` and tombstone redirects).
         """
         register = self._registers.get(key)
         if register is None:
-            try:
-                configuration = self.shard_map.configuration_for(
-                    key, epoch=self.known_epoch)
-            except StaleEpochError:
-                placement = self.shard_map.forward(key, self.known_epoch)
-                self.known_epoch = placement.epoch
-                self.forwarded_lookups += 1
-                configuration = self.shard_map.configuration_for(
-                    key, epoch=placement.epoch)
-            register = RegisterState(self, configuration)
+            register = RegisterState(self, self.shard_map.configuration_for(key))
             self._registers[key] = register
         return register
 

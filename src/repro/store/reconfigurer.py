@@ -57,9 +57,9 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
     directory:
         The deployment's configuration directory (shared with the servers).
     shard_map:
-        The deployment's versioned :class:`~repro.store.shardmap.ShardMap`;
-        migrations mutate it (advancing its epoch) and install per-key
-        entry points on it.
+        The deployment's :class:`~repro.store.shardmap.ShardMap`; migrations
+        mutate it (advancing its epoch) and install per-key entry points on
+        it.
     history:
         The deployment-wide keyed history; every per-key reconfiguration is
         recorded as a ``RECONFIG`` operation carrying its object key.
@@ -125,8 +125,8 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         return installed
 
     def _migrate_keys(self, keys: Sequence[str], target_shard_index: int,
-                      epoch: int, servers: Sequence[ProcessId]):
-        """Coroutine: reconfigure every key onto the target slice, pipelined.
+                      epoch: int):
+        """Coroutine: reconfigure every key onto the target shard's current slice.
 
         Every key's four-phase reconfiguration runs as its own coroutine, so
         the quorum rounds of the whole batch are in flight concurrently --
@@ -137,7 +137,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         ops = []
         for key in keys:
             cfg_id = ConfigId(name=f"st{target_shard_index}/{key}@e{epoch}")
-            proposed = shard.build_configuration(cfg_id, servers)
+            proposed = shard.build_configuration(cfg_id)
             ops.append(self.spawn(self.reconfig_key(key, proposed),
                                   label=f"{self.pid}:reconfig:{key}@e{epoch}"))
         if ops:
@@ -158,7 +158,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         through ARES concurrently with ongoing client traffic.  Returns the
         new epoch.
         """
-        shard = self.shard_map.shards[shard_index]
+        shard = self.shard_map.shard(shard_index)
         target_servers = tuple(shard.servers if servers is None else servers)
         spec = ShardSpec(
             dap=(dap or shard.dap).lower(),
@@ -168,7 +168,7 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         )
         keys = self.shard_map.keys_on_shard(shard_index)
         epoch = self.shard_map.install_shard(shard_index, spec, target_servers)
-        yield from self._migrate_keys(keys, shard_index, epoch, target_servers)
+        yield from self._migrate_keys(keys, shard_index, epoch)
         self.completed_migrations += 1
         return epoch
 
@@ -185,10 +185,8 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         keys = list(keys)
         materialised = set(self.shard_map.materialised_keys())
         epoch = self.shard_map.move_keys(keys, target_shard_index)
-        target = self.shard_map.shards[target_shard_index]
         to_move = [key for key in keys if key in materialised]
-        yield from self._migrate_keys(to_move, target_shard_index, epoch,
-                                      target.servers)
+        yield from self._migrate_keys(to_move, target_shard_index, epoch)
         self.completed_migrations += 1
         return epoch
 
@@ -200,16 +198,13 @@ class ShardReconfigurer(Process, ReconfigOpsMixin):
         first-materialisation order) and each half is rebalanced with
         :meth:`move_keys`.  Returns the final epoch.
         """
+        for index in (source_index, left_index, right_index):
+            self.shard_map.shard(index)
         if left_index == right_index:
             raise ConfigurationError("split_shard needs two distinct target shards")
         keys = self.shard_map.keys_on_shard(source_index)
-        if not keys:
-            return self.shard_map.epoch
-        left = [key for index, key in enumerate(keys) if index % 2 == 0]
-        right = [key for index, key in enumerate(keys) if index % 2 == 1]
         epoch = self.shard_map.epoch
-        if left:
-            epoch = yield from self.move_keys(left, left_index)
-        if right:
-            epoch = yield from self.move_keys(right, right_index)
+        for half, target_index in ((keys[0::2], left_index), (keys[1::2], right_index)):
+            if half:
+                epoch = yield from self.move_keys(half, target_index)
         return epoch

@@ -17,27 +17,26 @@ configuration-sequence modularity the paper's ARES design argues for.
 
 Config epochs
 -------------
-The map is **versioned**: every mutation -- a shard migrating onto new
-servers or a new DAP kind (:meth:`ShardMap.install_shard`), or a key range
-rebalanced onto another shard (:meth:`ShardMap.move_keys`) -- advances the
-map's *epoch*.  Lookups take an optional ``epoch`` argument: resolving
-against a stale epoch raises :class:`StaleEpochError` instead of silently
-answering from whatever the map currently holds, and
-:meth:`ShardMap.forward` is the explicit convergence path -- it walks the
-placement history from the stale epoch to the present and returns the
-current :class:`Placement`, so a client that cached an old epoch re-resolves
-in one step.  Keys whose register was migrated keep a per-key *entry point*:
+Every mutation of the map -- a shard migrating onto new servers or a new
+DAP kind (:meth:`ShardMap.install_shard`), or a key range rebalanced onto
+another shard (:meth:`ShardMap.move_keys`) -- advances its *epoch*, a plain
+mutation counter that names the configurations a migration proposes
+(``st<shard>/<key>@e<epoch>``).  Lookups always answer from the current
+map.  A client whose configuration sequence predates a mutation catches up
+through the protocol itself: ``read-config`` follows the sequence's
+``nextC`` links and a retired configuration answers with a tombstone
+redirect.  Keys whose register was migrated keep a per-key *entry point*:
 the finalized configuration installed by the latest migration, which is
 where fresh clients join the key's configuration sequence (joining the
-original configuration would also converge via the ARES traversal, just more
-slowly -- and not at all once the old servers are retired).
+original configuration would also converge via the ARES traversal, just
+more slowly).
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import ConfigId, ProcessId
@@ -46,39 +45,6 @@ from repro.core.directory import ConfigurationDirectory
 
 #: DAP kinds a shard may run (the string forms of :class:`DapKind`).
 SHARD_DAP_KINDS: Tuple[str, ...] = tuple(kind.value for kind in DapKind)
-
-
-class StaleEpochError(ConfigurationError):
-    """A lookup named a shard-map epoch older than the current one.
-
-    Carries enough context for the caller to converge: the stale epoch it
-    used and the epoch the map is at now.  Clients handle this by calling
-    :meth:`ShardMap.forward`, which answers from the current placement and
-    tells them the epoch to cache.
-    """
-
-    def __init__(self, key: str, epoch: int, current: int) -> None:
-        super().__init__(
-            f"lookup of key {key!r} used stale shard-map epoch {epoch} "
-            f"(current epoch is {current}); re-resolve with ShardMap.forward")
-        self.key = key
-        self.epoch = epoch
-        self.current = current
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Where a key lives: its shard index at a given map epoch.
-
-    ``path`` records the chain of shard indices the key occupied from the
-    requesting client's stale epoch up to ``epoch`` (inclusive at both
-    ends), so forwarding is observable in tests and diagnostics.
-    """
-
-    key: str
-    shard_index: int
-    epoch: int
-    path: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -144,7 +110,6 @@ class Shard:
         self.generation = 0
         self._directory = directory
         self._configurations: Dict[str, Configuration] = {}
-        self._keys_by_cfg: Dict[ConfigId, str] = {}
 
     @property
     def dap(self) -> str:
@@ -161,16 +126,14 @@ class Shard:
         self.servers = tuple(servers)
         self.generation += 1
 
-    def build_configuration(self, cfg_id: ConfigId,
-                            servers: Optional[Sequence[ProcessId]] = None) -> Configuration:
-        """A configuration with this shard's DAP parameters over ``servers``.
+    def build_configuration(self, cfg_id: ConfigId) -> Configuration:
+        """A configuration with this shard's current DAP parameters and servers.
 
-        Defaults to the shard's current server slice; migrations pass the
-        target slice explicitly.  The configuration is *not* registered or
-        cached -- callers decide whether it becomes a lazy per-key base
-        (:meth:`configuration_for`) or a migration proposal.
+        The configuration is *not* registered or cached -- callers decide
+        whether it becomes a lazy per-key base (:meth:`materialise`) or a
+        migration proposal.
         """
-        servers = tuple(self.servers if servers is None else servers)
+        servers = self.servers
         dap = self.dap
         if dap == "treas":
             return Configuration.treas(cfg_id, servers,
@@ -181,26 +144,19 @@ class Shard:
         half = len(servers) // 2
         return Configuration.ldr(cfg_id, servers[:half], servers[half:])
 
-    def configuration_for(self, key: str) -> Configuration:
-        """The (lazily created, shared) configuration of object ``key``."""
-        configuration = self._configurations.get(key)
-        if configuration is not None:
-            return configuration
+    def materialise(self, key: str) -> Configuration:
+        """Create, register and cache object ``key``'s base configuration
+        (only via :meth:`ShardMap.configuration_for`, which indexes its id)."""
         suffix = "" if self.generation == 0 else f"@g{self.generation}"
         cfg_id = ConfigId(name=f"st{self.index}/{key}{suffix}")
         configuration = self.build_configuration(cfg_id)
         self._directory.register(configuration)
         self._configurations[key] = configuration
-        self._keys_by_cfg[cfg_id] = key
         return configuration
 
     def existing_configuration(self, key: str) -> Optional[Configuration]:
         """The already-materialised configuration of ``key``, if any."""
         return self._configurations.get(key)
-
-    def key_of(self, cfg_id: ConfigId) -> Optional[str]:
-        """The object key behind one of this shard's configuration ids."""
-        return self._keys_by_cfg.get(cfg_id)
 
     def keys(self) -> List[str]:
         """Keys with a materialised configuration, in creation order."""
@@ -218,49 +174,36 @@ class ShardMap:
     :class:`~repro.store.deployment.StoreDeployment`; it owns the per-shard
     :class:`Shard` objects and answers both directions of the mapping
     (key to servers/configuration, configuration id back to key).
-
-    The map is versioned by :attr:`epoch` (see the module docstring):
-    mutations go through :meth:`install_shard` / :meth:`move_keys`, lookups
-    against a stale epoch raise :class:`StaleEpochError`, and
-    :meth:`forward` is the explicit convergence path.
+    Mutations go through :meth:`install_shard` / :meth:`move_keys`, each
+    advancing :attr:`epoch` (see the module docstring).
     """
 
     def __init__(self, shards: Sequence[Shard]) -> None:
         if not shards:
             raise ConfigurationError("a shard map needs at least one shard")
         self.shards: Tuple[Shard, ...] = tuple(shards)
-        #: Per-epoch placement overrides: ``_overrides[e]`` maps keys whose
-        #: placement differs from the hash assignment at epoch ``e``.
-        self._overrides: List[Dict[str, int]] = [{}]
+        #: Number of mutations so far (0 for a fresh map).
+        self.epoch = 0
+        #: Keys whose placement differs from the hash assignment.
+        self._overrides: Dict[str, int] = {}
         #: Finalized entry-point configuration per migrated key: where fresh
         #: clients join the key's configuration sequence.
         self._entry_points: Dict[str, Configuration] = {}
-        #: Migration-created configuration ids back to their object keys.
-        self._migrated_cfg_keys: Dict[ConfigId, str] = {}
+        #: Every store configuration id -- materialised by a shard or
+        #: installed by a migration -- back to its object key.
+        self._keys_by_cfg: Dict[ConfigId, str] = {}
 
-    # ------------------------------------------------------------ epoch state
     @property
-    def epoch(self) -> int:
-        """The current configuration epoch (0 until the first mutation)."""
-        return len(self._overrides) - 1
+    def num_shards(self) -> int:
+        """Number of shards."""
+        return len(self.shards)
 
-    def _check_epoch(self, key: str, epoch: Optional[int]) -> None:
-        if epoch is None:
-            return
-        current = self.epoch
-        if epoch == current:
-            return
-        if 0 <= epoch < current:
-            raise StaleEpochError(key, epoch, current)
-        raise ConfigurationError(
-            f"lookup of key {key!r} used unknown shard-map epoch {epoch} "
-            f"(current epoch is {current})")
-
-    def _shard_index_at(self, key: str, epoch: int) -> int:
-        override = self._overrides[epoch].get(key)
-        if override is not None:
-            return override
-        return shard_index_for(key, len(self.shards))
+    def shard(self, index: int) -> Shard:
+        """The shard at ``index``; raises for an index outside the map."""
+        if not 0 <= index < len(self.shards):
+            raise ConfigurationError(
+                f"no shard {index}: the map has {len(self.shards)} shards")
+        return self.shards[index]
 
     # ------------------------------------------------------------- mutations
     def install_shard(self, shard_index: int, spec: ShardSpec,
@@ -271,8 +214,8 @@ class ShardMap:
         reconfigurations, so keys materialised during the migration already
         land on the target slice.
         """
-        self.shards[shard_index].install(spec, servers)
-        self._overrides.append(dict(self._overrides[-1]))
+        self.shard(shard_index).install(spec, servers)
+        self.epoch += 1
         return self.epoch
 
     def move_keys(self, keys: Sequence[str], target_index: int) -> int:
@@ -283,16 +226,12 @@ class ShardMap:
         is taken first so fresh keys of the moved range materialise directly
         on the target shard).
         """
-        if not 0 <= target_index < len(self.shards):
-            raise ConfigurationError(
-                f"cannot move keys to shard {target_index}: the map has "
-                f"{len(self.shards)} shards")
+        self.shard(target_index)
         if not keys:
             raise ConfigurationError("move_keys needs at least one key")
-        overrides = dict(self._overrides[-1])
         for key in keys:
-            overrides[key] = target_index
-        self._overrides.append(overrides)
+            self._overrides[key] = target_index
+        self.epoch += 1
         return self.epoch
 
     def install_entry_point(self, key: str, configuration: Configuration) -> None:
@@ -303,97 +242,62 @@ class ShardMap:
         indexed so :meth:`key_of` resolves migration-created configurations.
         """
         self._entry_points[key] = configuration
-        self._migrated_cfg_keys[configuration.cfg_id] = key
+        self._keys_by_cfg[configuration.cfg_id] = key
 
     # --------------------------------------------------------------- lookups
-    @property
-    def num_shards(self) -> int:
-        """Number of shards."""
-        return len(self.shards)
+    def shard_index(self, key: str) -> int:
+        """The shard index ``key`` is placed on."""
+        override = self._overrides.get(key)
+        if override is not None:
+            return override
+        return shard_index_for(key, len(self.shards))
 
-    def shard_index(self, key: str, epoch: Optional[int] = None) -> int:
-        """The shard index ``key`` is placed on.
-
-        ``epoch=None`` answers authoritatively from the current epoch;
-        passing a cached epoch asserts freshness and raises
-        :class:`StaleEpochError` when the map has moved on.
-        """
-        self._check_epoch(key, epoch)
-        return self._shard_index_at(key, self.epoch)
-
-    def shard_for(self, key: str, epoch: Optional[int] = None) -> Shard:
+    def shard_for(self, key: str) -> Shard:
         """The :class:`Shard` hosting ``key``."""
-        return self.shards[self.shard_index(key, epoch)]
+        return self.shards[self.shard_index(key)]
 
-    def configuration_for(self, key: str, epoch: Optional[int] = None) -> Configuration:
+    def _resolve(self, key: str) -> Tuple[Optional[Configuration], Shard]:
+        """Object ``key``'s register and current shard, without materialising.
+
+        The register is the latest migration's entry point; else the key's
+        already-materialised configuration wherever it lives -- a key whose
+        *placement* moved keeps its existing register until the rebalance
+        finalizes, otherwise a fresh client would join a brand-new empty
+        register on the target shard and read the initial value; else
+        ``None``: the key is untouched and materialises on the shard.
+        """
+        configuration = self._entry_points.get(key)
+        if configuration is None:
+            for shard in self.shards:
+                configuration = shard.existing_configuration(key)
+                if configuration is not None:
+                    break
+        return configuration, self.shard_for(key)
+
+    def configuration_for(self, key: str) -> Configuration:
         """The configuration where clients join object ``key``'s sequence.
 
-        Resolution order: the latest migration's entry point; else the
-        key's already-materialised configuration wherever it lives -- a key
-        whose *placement* moved keeps its existing register until the
-        rebalance finalizes, otherwise a fresh client would join a
-        brand-new empty register on the target shard and read the initial
-        value; else the current shard's lazily created base configuration.
-        Stale-epoch lookups raise :class:`StaleEpochError` (see
-        :meth:`forward`).
+        Resolved by :meth:`_resolve`; an untouched key is materialised on
+        its current shard.
         """
-        self._check_epoch(key, epoch)
-        entry = self._entry_points.get(key)
-        if entry is not None:
-            return entry
-        for shard in self.shards:
-            existing = shard.existing_configuration(key)
-            if existing is not None:
-                return existing
-        return self.shard_for(key).configuration_for(key)
+        configuration, shard = self._resolve(key)
+        if configuration is None:
+            configuration = shard.materialise(key)
+            self._keys_by_cfg[configuration.cfg_id] = key
+        return configuration
 
-    def forward(self, key: str, epoch: int) -> Placement:
-        """Explicit convergence for a client that cached a stale ``epoch``.
-
-        Walks the placement history from ``epoch`` to the current epoch and
-        returns the authoritative :class:`Placement` (with the traversed
-        shard chain in ``path``).  Raises for unknown epochs.
-        """
-        current = self.epoch
-        if not 0 <= epoch <= current:
-            raise ConfigurationError(
-                f"cannot forward key {key!r} from unknown epoch {epoch} "
-                f"(current epoch is {current})")
-        path = tuple(self._shard_index_at(key, e) for e in range(epoch, current + 1))
-        return Placement(key=key, shard_index=path[-1], epoch=current, path=path)
-
-    def servers_for_key(self, key: str, epoch: Optional[int] = None) -> List[ProcessId]:
+    def servers_for_key(self, key: str) -> List[ProcessId]:
         """The server processes storing object ``key``.
 
-        The latest migration's entry-point servers when the key was
-        migrated, else the hosting shard's current slice.
+        Resolved by :meth:`_resolve` like :meth:`configuration_for`, but an
+        untouched key is not materialised.
         """
-        self._check_epoch(key, epoch)
-        entry = self._entry_points.get(key)
-        if entry is not None:
-            return list(entry.servers)
-        for shard in self.shards:
-            existing = shard.existing_configuration(key)
-            if existing is not None:
-                return list(existing.servers)
-        return list(self.shard_for(key).servers)
+        configuration, shard = self._resolve(key)
+        return list(shard.servers if configuration is None else configuration.servers)
 
     def key_of(self, cfg_id: ConfigId) -> Optional[str]:
-        """Resolve a store configuration id back to its object key.
-
-        Covers every epoch: ids created lazily by the shards *and* ids
-        installed by migrations (an earlier version only consulted the
-        shards, so post-migration accounting silently dropped every migrated
-        object's bytes).
-        """
-        key = self._migrated_cfg_keys.get(cfg_id)
-        if key is not None:
-            return key
-        for shard in self.shards:
-            key = shard.key_of(cfg_id)
-            if key is not None:
-                return key
-        return None
+        """Resolve a store configuration id back to its object key."""
+        return self._keys_by_cfg.get(cfg_id)
 
     def materialised_keys(self) -> List[str]:
         """Every key with protocol state, in first-materialisation order."""
@@ -429,8 +333,8 @@ def shard_index_for(key: str, num_shards: int) -> int:
 
     ``zlib.crc32`` is stable across interpreter runs and platforms (unlike
     ``hash(str)``, which is salted per process), so placement is part of a
-    scenario's reproducible identity.  Epoch overrides (rebalanced key
-    ranges) are layered on top by :class:`ShardMap`.
+    scenario's reproducible identity.  Overrides for rebalanced key ranges
+    are layered on top by :class:`ShardMap`.
     """
     if num_shards <= 0:
         raise ConfigurationError("a shard map needs at least one shard")

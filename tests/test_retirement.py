@@ -378,7 +378,7 @@ class TestRetirementEndToEnd:
         stale = dep.readers[2]
         assert stale.cseq.base == 0
         assert dep.read(2).label == "v1"
-        # One jump per retirement boundary (ShardMap.forward semantics).
+        # One jump per retirement boundary.
         assert stale.tombstone_jumps == 2
         assert stale.cseq.base == 2
 

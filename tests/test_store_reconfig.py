@@ -1,7 +1,8 @@
 """Live per-shard reconfiguration: shard map epochs, migrations, scenarios.
 
-Covers the versioned :class:`~repro.store.shardmap.ShardMap` (stale-epoch
-refusal, explicit forwarding, entry points, the ``key_of`` accounting fix),
+Covers the :class:`~repro.store.shardmap.ShardMap` (epoch counter, entry
+points, one key -> register resolution, the ``key_of`` accounting fix,
+shard-index validation),
 the :class:`~repro.store.reconfigurer.ShardReconfigurer` operations (server
 moves, DAP flips, key-range rebalances, splits -- with traffic in flight),
 the differential/sweep gates for the three PR-5 reconfiguration scenarios,
@@ -17,12 +18,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.values import Value
 from repro.spec.linearizability import (check_linearizability_per_key,
                                         check_tag_monotonicity_per_key)
-from repro.store import (
-    ShardSpec,
-    StaleEpochError,
-    StoreDeployment,
-    StoreSpec,
-)
+from repro.store import ShardSpec, StoreDeployment, StoreSpec
 from repro.sweep.engine import campaign, execute_run
 from repro.sweep.grid import RunSpec, SweepGrid, parse_grid
 from repro.workloads.scenarios import run_scenario
@@ -50,44 +46,8 @@ class TestShardMapEpochs:
     def test_fresh_map_is_epoch_zero_and_resolves(self):
         store = make_store()
         assert store.shard_map.epoch == 0
-        cfg = store.shard_map.configuration_for("k0", epoch=0)
+        cfg = store.shard_map.configuration_for("k0")
         assert cfg is store.shard_map.configuration_for("k0")
-
-    def test_stale_epoch_lookup_raises_instead_of_silently_resolving(self):
-        """Regression: lookups used to answer from the only epoch they knew;
-        a client holding a pre-migration epoch must be refused explicitly."""
-        store = make_store()
-        seed_keys(store)
-        store.migrate_shard(0, fresh_servers=5)
-        assert store.shard_map.epoch == 1
-        with pytest.raises(StaleEpochError) as excinfo:
-            store.shard_map.configuration_for("k0", epoch=0)
-        assert excinfo.value.epoch == 0
-        assert excinfo.value.current == 1
-        with pytest.raises(StaleEpochError):
-            store.shard_map.shard_index("k0", epoch=0)
-        with pytest.raises(StaleEpochError):
-            store.shard_map.servers_for_key("k0", epoch=0)
-
-    def test_unknown_future_epoch_is_an_error(self):
-        store = make_store()
-        with pytest.raises(ConfigurationError):
-            store.shard_map.configuration_for("k0", epoch=7)
-        with pytest.raises(ConfigurationError):
-            store.shard_map.forward("k0", 7)
-
-    def test_forward_converges_a_stale_client_with_the_placement_path(self):
-        store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
-                                   ShardSpec(dap="abd", num_servers=5),
-                                   ShardSpec(dap="abd", num_servers=5)))
-        seed_keys(store)
-        source = store.shard_map.shard_index("k0")
-        target = (source + 1) % 3
-        store.move_keys(["k0"], target)
-        placement = store.shard_map.forward("k0", 0)
-        assert placement.shard_index == target
-        assert placement.epoch == 1
-        assert placement.path == (source, target)
 
     def test_key_of_resolves_migration_created_configurations(self):
         """Regression: ``key_of`` only consulted the shards, so every
@@ -128,6 +88,78 @@ class TestShardMapEpochs:
             store.shard_map.move_keys(["k0"], 9)
         with pytest.raises(ConfigurationError):
             store.shard_map.move_keys([], 1)
+
+
+def two_abd_shards() -> StoreDeployment:
+    return make_store(shards=(ShardSpec(dap="abd", num_servers=5),
+                              ShardSpec(dap="abd", num_servers=5)))
+
+
+def untouched_key(store: StoreDeployment) -> str:
+    return "fresh"
+
+
+def materialised_key(store: StoreDeployment) -> str:
+    store.put("k0", Value.from_text("x", label="vx"))
+    return "k0"
+
+
+def override_placed_key(store: StoreDeployment) -> str:
+    target = 1 - store.shard_map.shard_index("moved")
+    store.shard_map.move_keys(["moved"], target)
+    assert store.shard_map.shard_index("moved") == target
+    return "moved"
+
+
+def migrated_key(store: StoreDeployment) -> str:
+    store.put("k0", Value.from_text("x", label="vx"))
+    store.migrate_shard(store.shard_map.shard_index("k0"), fresh_servers=5)
+    assert "@e1" in store.shard_map.configuration_for("k0").cfg_id.name
+    return "k0"
+
+
+class TestKeyResolution:
+    @pytest.mark.parametrize("prepare", [untouched_key, materialised_key,
+                                         override_placed_key, migrated_key])
+    def test_servers_config_and_key_of_agree(self, prepare):
+        store = two_abd_shards()
+        key = prepare(store)
+        touched = key in store.shard_map.materialised_keys()
+        servers = store.shard_map.servers_for_key(key)
+        # Asking for the servers must not give an untouched key a register.
+        assert (key in store.shard_map.materialised_keys()) == touched
+        configuration = store.shard_map.configuration_for(key)
+        assert servers == list(configuration.servers)
+        assert store.shard_map.key_of(configuration.cfg_id) == key
+
+
+class TestShardIndexValidation:
+    """Regression: out-of-range (notably negative) shard indices were
+    accepted; ``migrate_shard(-1)`` installed the new slice on the last
+    shard without moving any of its keys."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda store: store.migrate_shard(-1, fresh_servers=5),
+        lambda store: store.migrate_shard(2, dap="ldr"),
+        lambda store: store.split_shard(7, 0, 1),
+        lambda store: store.split_shard(0, 1, -1),
+        lambda store: store.shard_map.install_shard(
+            -1, ShardSpec(dap="abd", num_servers=5), store.shard_map.shards[0].servers),
+        lambda store: store.shard_map.install_shard(
+            2, ShardSpec(dap="abd", num_servers=5), store.shard_map.shards[0].servers),
+    ], ids=["migrate-negative", "migrate-past-end", "split-source",
+            "split-target", "install-negative", "install-past-end"])
+    def test_out_of_range_index_is_refused(self, mutate):
+        store = two_abd_shards()
+        seed_keys(store)
+        servers = len(store.servers)
+        slices = [shard.servers for shard in store.shard_map.shards]
+        with pytest.raises(ConfigurationError):
+            mutate(store)
+        assert len(store.servers) == servers  # no fresh servers recruited
+        assert [shard.servers for shard in store.shard_map.shards] == slices
+        assert store.shard_map.epoch == 0
+        assert store.reconfigurers[0].completed_migrations == 0
 
 
 class TestShardMigration:
@@ -183,7 +215,7 @@ class TestShardMigration:
         assert verdict.ok, verdict.reason
         assert check_tag_monotonicity_per_key(store.history) is None
 
-    def test_move_keys_rebalances_and_forwards_stale_clients(self):
+    def test_move_keys_rebalances_and_serves_fresh_keys(self):
         store = make_store(shards=(ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5),
                                    ShardSpec(dap="abd", num_servers=5)))
@@ -194,16 +226,12 @@ class TestShardMigration:
         assert epoch == 1
         assert store.shard_map.shard_index("k0") == target
         assert store.shard_map.shard_index("k1") == target
-        # A client whose cached epoch predates the move converges through
-        # the explicit forwarding path on its next fresh resolution.
+        # A key the reader first touches after the move resolves normally.
         reader = store.readers[0]
-        assert reader.known_epoch == 0
         unseen = next(f"n{i}" for i in range(100)
                       if f"n{i}" not in reader.known_keys())
         store.put(unseen, Value.from_text("y", label="vy"))
         assert store.get(unseen).label == "vy"
-        assert reader.known_epoch == 1
-        assert reader.forwarded_lookups == 1
         for key in keys:
             assert store.get(key).label
         verdict = check_linearizability_per_key(store.history)
@@ -298,9 +326,6 @@ class TestReconfigScenarioDifferential:
         targets = {shard_map.shard_index(key) for key in ("k0", "k1", "k2", "k3")}
         assert len(targets) == 1  # the whole range landed on one shard
         assert any("rebalance hot range" in text for _, text in result.chaos_log)
-        # Some client had to converge through the forwarding path.
-        clients = result.deployment.writers + result.deployment.readers
-        assert any(client.forwarded_lookups for client in clients)
 
 
 class TestReconfigRateSweepAxes:
